@@ -16,7 +16,6 @@
 #include "core/vfid.hpp"
 #include "engine/event.hpp"
 #include "engine/timing_wheel.hpp"
-#include "sim/event_queue.hpp"
 #include "sim/rng.hpp"
 #include "workload/size_dist.hpp"
 
@@ -95,22 +94,6 @@ void BM_FlowTableFindHot(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FlowTableFindHot);
-
-void BM_EventQueuePushPop(benchmark::State& state) {
-  EventQueue q;
-  Rng rng(1);
-  // steady-state heap of `range` pending events
-  for (int i = 0; i < state.range(0); ++i) {
-    q.push(static_cast<Time>(rng.uniform_int(0, 1'000'000)), [] {});
-  }
-  Time at;
-  std::function<void()> fn;
-  for (auto _ : state) {
-    q.push(static_cast<Time>(rng.uniform_int(0, 1'000'000)), [] {});
-    q.pop(at, fn);
-  }
-}
-BENCHMARK(BM_EventQueuePushPop)->Arg(1024)->Arg(65536);
 
 // Reference scheduler: the PR-2 per-shard binary heap of (at, key, Event*)
 // items. Steady-state push/pop at `range` pending events — the pattern

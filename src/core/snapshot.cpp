@@ -1,10 +1,21 @@
 // Checkpoint/warm-start codec implementation. See snapshot.hpp for the
 // format contract (layout independence, exact continuation, versioned
 // rejection) and docs/ARCHITECTURE.md for the full state inventory.
+//
+// Each piece of state is described once, by one `io(A&, T&)`. A is the
+// Writer (save) or the Reader (restore); both expose the same member
+// names, so the field order is stated once for both directions. Load-only
+// fix-ups (relinking pointers, materializing slabs) sit inline under
+// `if constexpr (A::kLoad)`. A new field is one edit here, plus a
+// Snapshot::kVersion bump and re-recorded golden digests in
+// tests/test_snapshot.cpp.
 #include "core/snapshot.hpp"
 
 #include <algorithm>
 #include <cstring>
+#include <iterator>
+#include <tuple>
+#include <type_traits>
 #include <utility>
 
 #include "core/fault.hpp"
@@ -17,1058 +28,760 @@
 namespace bfc {
 namespace {
 
-// Little-endian byte-buffer writer. Every multi-byte field goes through
-// these, so the image is identical across hosts regardless of the
-// compiler's struct layout.
-class Writer {
+constexpr std::uint64_t kMagic = 0x3150414E53434642ULL;    // "BFCSNAP1"
+constexpr std::uint64_t kTrailer = 0x31444E4550414E53ULL;  // "SNAPEND1"
+constexpr std::uint64_t kNoFlow = ~std::uint64_t{0};
+
+// The image archive, in either direction: the Writer appends fields to a
+// little-endian buffer, the Reader parses them back. Both expose the same
+// members, and a member's name is the field's wire width whatever its C++
+// type (integers and enums as two's complement, floats as their IEEE
+// bits), so the image is identical across hosts regardless of the
+// compiler's struct layout. Reading is bounds-checked: any overrun or
+// fail() poisons the stream, reads return zero from then on, and
+// restore() reports one error per section instead of crashing mid-decode.
+template <bool Load>
+class Archive {
  public:
-  void u8(std::uint8_t v) { buf_.push_back(v); }
-  void u32(std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-  void u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-  void i32(std::int32_t v) { u32(static_cast<std::uint32_t>(v)); }
-  void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
-  void f64(double v) {
-    std::uint64_t bits;
-    std::memcpy(&bits, &v, 8);
-    u64(bits);
-  }
-  void f32(float v) {
-    std::uint32_t bits;
-    std::memcpy(&bits, &v, 4);
-    u32(bits);
-  }
-  void vec_u8(const std::vector<std::uint8_t>& v) {
-    u64(v.size());
-    buf_.insert(buf_.end(), v.begin(), v.end());
-  }
-  void vec_u32(const std::vector<std::uint32_t>& v) {
-    u64(v.size());
-    for (std::uint32_t x : v) u32(x);
-  }
-  void vec_u64(const std::vector<std::uint64_t>& v) {
-    u64(v.size());
-    for (std::uint64_t x : v) u64(x);
-  }
-  void vec_i32(const std::vector<int>& v) {
-    u64(v.size());
-    for (int x : v) i32(x);
-  }
-  void vec_i64(const std::vector<std::int64_t>& v) {
-    u64(v.size());
-    for (std::int64_t x : v) i64(x);
-  }
+  static constexpr bool kLoad = Load;
 
-  std::vector<std::uint8_t> take() { return std::move(buf_); }
+  Archive() = default;
+  Archive(const std::vector<std::uint8_t>& image, Network* world)
+      : net(world), p_(image.data()), end_(p_ + image.size()) {}
 
- private:
-  std::vector<std::uint8_t> buf_;
-};
-
-// Bounds-checked reader: any overrun or explicit fail() poisons the
-// stream, reads return zero/empty from then on, and restore() reports one
-// error at the end instead of crashing mid-decode.
-class Reader {
- public:
-  Reader(const std::uint8_t* p, std::size_t n) : p_(p), end_(p + n) {}
+  Network* const net = nullptr;  // Reader: the world being rebuilt
 
   bool ok() const { return ok_; }
   void fail() { ok_ = false; }
 
-  std::uint8_t u8() {
-    if (!take(1)) return 0;
-    return p_[-1];
+  template <class... T>
+  void u8(T&&... v) {
+    (field(v, 1), ...);
   }
-  std::uint32_t u32() {
-    if (!take(4)) return 0;
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(p_[i - 4]) << (8 * i);
-    return v;
+  template <class... T>
+  void u32(T&&... v) {
+    (field(v, 4), ...);
   }
-  std::uint64_t u64() {
-    if (!take(8)) return 0;
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(p_[i - 8]) << (8 * i);
-    return v;
+  template <class... T>
+  void u64(T&&... v) {
+    (field(v, 8), ...);
   }
-  std::int32_t i32() { return static_cast<std::int32_t>(u32()); }
-  std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
-  double f64() {
-    const std::uint64_t bits = u64();
-    double v;
-    std::memcpy(&v, &bits, 8);
-    return v;
+  // Every count in the image passes through here. The Reader caps it by
+  // the bytes left over the element's minimum wire size, so a corrupt
+  // count fails the stream instead of driving a huge allocation.
+  std::size_t count(std::size_t n, std::size_t width, std::size_t min_bytes) {
+    field(n, width);
+    if (Load && n > static_cast<std::size_t>(end_ - p_) / min_bytes) fail();
+    return ok_ ? n : 0;
   }
-  float f32() {
-    const std::uint32_t bits = u32();
-    float v;
-    std::memcpy(&v, &bits, 4);
-    return v;
+  // A vector of integers: a u64 length, then each element at its size.
+  template <class V>
+  void vec(V& v) {
+    const std::size_t n = count(v.size(), 8, sizeof(v[0]));
+    if constexpr (Load) v.resize(n);
+    for (auto& x : v) field(x, sizeof x);
   }
-  std::vector<std::uint8_t> vec_u8() {
-    const std::uint64_t n = len();
-    std::vector<std::uint8_t> v;
-    if (!ok_ || !take(n)) return v;
-    v.assign(p_ - n, p_);
-    return v;
-  }
-  std::vector<std::uint32_t> read_vec_u32() {
-    const std::uint64_t n = len();
-    std::vector<std::uint32_t> v;
-    if (!ok_) return v;
-    v.reserve(n);
-    for (std::uint64_t i = 0; i < n && ok_; ++i) v.push_back(u32());
-    return v;
-  }
-  std::vector<std::uint64_t> read_vec_u64() {
-    const std::uint64_t n = len();
-    std::vector<std::uint64_t> v;
-    if (!ok_) return v;
-    v.reserve(n);
-    for (std::uint64_t i = 0; i < n && ok_; ++i) v.push_back(u64());
-    return v;
-  }
-  std::vector<int> read_vec_i32() {
-    const std::uint64_t n = len();
-    std::vector<int> v;
-    if (!ok_) return v;
-    v.reserve(n);
-    for (std::uint64_t i = 0; i < n && ok_; ++i) v.push_back(i32());
-    return v;
-  }
-  std::vector<std::int64_t> read_vec_i64() {
-    const std::uint64_t n = len();
-    std::vector<std::int64_t> v;
-    if (!ok_) return v;
-    v.reserve(n);
-    for (std::uint64_t i = 0; i < n && ok_; ++i) v.push_back(i64());
-    return v;
-  }
+  std::size_t size() const { return buf_.size(); }
+  std::vector<std::uint8_t> take() { return std::move(buf_); }
 
  private:
-  // A length prefix, sanity-capped against the bytes actually remaining
-  // so a corrupt length cannot drive a multi-gigabyte reserve.
-  std::uint64_t len() {
-    const std::uint64_t n = u64();
-    if (n > static_cast<std::uint64_t>(end_ - p_) + 8) {
-      ok_ = false;
+  // One field at `width` bytes. Floats travel as their IEEE bits; for
+  // every other type the memcpy is a plain copy.
+  template <class T>
+  void field(T& v, std::size_t width) {
+    using U = std::remove_cv_t<T>;
+    using Wire = std::conditional_t<
+        std::is_floating_point_v<U>,
+        std::conditional_t<sizeof(U) == 4, std::uint32_t, std::uint64_t>, U>;
+    Wire x{};
+    if constexpr (Load) {
+      x = static_cast<Wire>(get(width));
+      std::memcpy(&v, &x, sizeof x);
+    } else {
+      std::memcpy(&x, &v, sizeof x);
+      const auto w = static_cast<std::uint64_t>(x);
+      for (std::size_t i = 0; i < width; ++i) buf_.push_back(w >> 8 * i);
+    }
+  }
+  std::uint64_t get(std::size_t width) {
+    if (!ok_ || static_cast<std::size_t>(end_ - p_) < width) {
+      fail();
       return 0;
     }
-    return n;
-  }
-  bool take(std::uint64_t n) {
-    if (!ok_ || static_cast<std::uint64_t>(end_ - p_) < n) {
-      ok_ = false;
-      return false;
-    }
-    p_ += n;
-    return true;
+    std::uint64_t w = 0;
+    for (std::size_t i = 0; i < width; ++i) w |= std::uint64_t{p_[i]} << 8 * i;
+    p_ += width;
+    return w;
   }
 
-  const std::uint8_t* p_;
-  const std::uint8_t* end_;
+  std::vector<std::uint8_t> buf_;
+  const std::uint8_t* p_ = nullptr;
+  const std::uint8_t* end_ = nullptr;
   bool ok_ = true;
 };
 
+using Writer = Archive<false>;
+using Reader = Archive<true>;
+
 }  // namespace
 
-// All stateful codec logic. Impl is a member of Snapshot, so it shares
-// every `friend class Snapshot` grant (Nic, Switch, Network, FlowTable,
+// All stateful codec logic: one io(A&, T&) per piece of state, for A =
+// Writer or Reader. Codec is a member of Snapshot, so it shares every
+// `friend class Snapshot` grant (Nic, Switch, Network, FlowTable,
 // FlowIndex, FlowStats, ReceiverSlab, Shard, ShardedSimulator).
-struct Snapshot::Impl {
-  static constexpr std::uint64_t kMagic = 0x3150414E53434642ULL;    // "BFCSNAP1"
-  static constexpr std::uint64_t kTrailer = 0x31444E4550414E53ULL;  // "SNAPEND1"
-  static constexpr std::uint64_t kNoFlow = ~std::uint64_t{0};
+template <class A>
+struct Snapshot::Codec {
+  // The wire size of a default T: a lower bound for any T's record (only
+  // length-prefixed vectors grow it), so counts can be capped against it.
+  template <class T>
+  static std::size_t wire_size() {
+    static const std::size_t n = [] {
+      Writer w;
+      T x{};
+      Codec<Writer>::io(w, x);
+      return w.size();
+    }();
+    return n;
+  }
 
-  // Stable wire ids for the pooled event handlers. Every event in a
-  // running simulation dispatches to exactly one of these (closures —
-  // fn == nullptr — are the harness's and are not serialized).
-  enum Handler : std::uint32_t {
-    kNicFlowStart = 0,  // u.misc.p1 = Flow*
-    kNicTxDone = 1,     // no payload
-    kNicWake = 2,       // u.timer.i0 = gate
-    kNicRto = 3,        // u.misc = {Flow*, generation}
-    kNicAck = 4,        // u.ack = AckNode
-    kSwTxDone = 5,      // u.misc.i1 = egress port
-    kSwRefresh = 6,     // no payload
-    kSwReclaim = 7,     // no payload
-    kNetDeliver = 8,    // u.pkt = {PacketNode, in_port}
-    kNetSnapshot = 9,   // u.cold = {ColdNode(bits), port}
-    kNetPfc = 10,       // u.misc = {-, port, paused}
-    kNetLinkState = 11, // u.misc = {-, port, up}
-    kHandlerCount = 12,
-  };
+  // --- generic shapes ---
 
-  static EventFn handler_fn(std::uint32_t id) {
-    switch (id) {
-      case kNicFlowStart: return &Nic::ev_flow_start;
-      case kNicTxDone: return &Nic::ev_tx_done;
-      case kNicWake: return &Nic::ev_wake;
-      case kNicRto: return &Nic::ev_rto;
-      case kNicAck: return &Nic::ev_ack;
-      case kSwTxDone: return &Switch::ev_tx_done;
-      case kSwRefresh: return &Switch::ev_refresh;
-      case kSwReclaim: return &Switch::ev_reclaim;
-      case kNetDeliver: return &Network::ev_deliver;
-      case kNetSnapshot: return &Network::ev_snapshot;
-      case kNetPfc: return &Network::ev_pfc;
-      case kNetLinkState: return &Network::ev_link_state;
-      default: return nullptr;
+  // A container as a count of `width` bytes, then each element through
+  // `fn`; loading resizes first (the count is capped), so fn fills the
+  // elements in place.
+  template <class V, class Fn>
+  static void io_seq(A& a, V& v, std::size_t width, std::size_t min_bytes,
+                     Fn&& fn) {
+    v.resize(a.count(v.size(), width, min_bytes));
+    for (auto& x : v) fn(x);
+  }
+
+  // An ordered map as a u64 count, then (key, value) pairs in key order.
+  template <class M, class Fn>
+  static void io_map(A& a, M& m, std::size_t min_bytes, Fn&& fn) {
+    const std::size_t n = a.count(m.size(), 8, min_bytes);
+    if constexpr (A::kLoad) {
+      for (std::size_t i = 0; i < n && a.ok(); ++i) {
+        typename M::key_type k{};
+        typename M::mapped_type v{};
+        fn(k, v);
+        m.emplace_hint(m.end(), k, std::move(v));
+      }
+    } else {
+      for (auto& [k, v] : m) fn(k, v);
     }
   }
 
-  static bool handler_id(EventFn fn, std::uint32_t* id) {
-    for (std::uint32_t i = 0; i < kHandlerCount; ++i) {
-      if (handler_fn(i) == fn) {
-        *id = i;
-        return true;
+  // A count the live structure already fixes (ports, chunks, queues):
+  // any other value is corrupt.
+  static void io_fixed(A& a, std::size_t n, std::size_t width) {
+    if (a.count(n, width, 1) != n) a.fail();
+  }
+
+  // A vector whose length the live structure fixes.
+  template <class V>
+  static void io_vec(A& a, V& v, std::size_t n) {
+    a.vec(v);
+    if (v.size() != n) a.fail();
+  }
+
+  // State behind an accessor pair: saved from `cur`, loaded into a fresh
+  // vector handed to `set`.
+  template <class V, class Set>
+  static void io_via(A& a, const V& cur, Set&& set) {
+    if constexpr (A::kLoad) {
+      V v;
+      a.vec(v);
+      set(std::move(v));
+    } else {
+      a.vec(cur);
+    }
+  }
+
+  // A Flow pointer as its uid; returns it relinked. Only packets may
+  // carry none.
+  static Flow* io_flow(A& a, Flow* f, bool nullable = false) {
+    std::uint64_t uid = f != nullptr ? f->uid : kNoFlow;
+    a.u64(uid);
+    if constexpr (A::kLoad) {
+      f = uid == kNoFlow ? nullptr : a.net->flow(uid);
+      if (f == nullptr && !(nullable && uid == kNoFlow)) a.fail();
+    }
+    return f;
+  }
+
+  // A FlowEntry pointer as its (vfid, prio) key, found again in the
+  // egress port's table on load.
+  static void io_entry(A& a, FlowTable& t, int port, FlowEntry*& e) {
+    std::uint32_t vfid = e != nullptr ? e->vfid : 0;
+    std::int32_t prio = e != nullptr ? e->prio : 0;
+    a.u32(vfid, prio);
+    if constexpr (A::kLoad) {
+      e = t.find(vfid, port, prio);
+      if (e == nullptr) a.fail();
+    }
+  }
+
+  // --- small structs ---
+
+  static void io(A& a, Rng& g) {
+    std::uint64_t s[4] = {};
+    g.state(s);
+    a.u64(s[0], s[1], s[2], s[3]);
+    if constexpr (A::kLoad) g.set_state(s);
+  }
+
+  // A shared Bloom snapshot: a presence byte, then its words.
+  static void io(A& a, std::shared_ptr<const BloomBits>& bits) {
+    bool has = bits != nullptr;
+    a.u8(has);
+    if constexpr (A::kLoad) {
+      BloomBits words;
+      if (has) a.vec(words);
+      bits = has ? std::make_shared<const BloomBits>(std::move(words))
+                 : nullptr;
+    } else if (has) {
+      a.vec(*bits);
+    }
+  }
+
+  static void io(A& a, FlowKey& k) {
+    a.u32(k.src, k.dst, k.src_port, k.dst_port);
+  }
+
+  static void io(A& a, Packet& p) {
+    p.flow = io_flow(a, p.flow, /*nullable=*/true);
+    a.u32(p.seq, p.vfid, p.wire, p.hop);
+    a.u8(p.is_ack, p.ce, p.single, p.nack, p.tracked);
+    a.u32(p.cum);
+    a.u64(p.prio);
+    a.u32(p.util);
+    a.u64(p.ts);
+    a.u32(p.buf_in);
+    for (std::uint16_t& hop : p.route) a.u32(hop);
+    a.u64(p.ack_lat);
+  }
+
+  // A packet FIFO: a u32 count, then the packets head to tail.
+  static void io(A& a, PacketFifo& q, PacketArena& arena) {
+    const std::size_t n = a.count(q.size(), 4, wire_size<Packet>());
+    if constexpr (A::kLoad) {
+      for (std::size_t i = 0; i < n && a.ok(); ++i) {
+        Packet p;
+        io(a, p);
+        q.push(arena, p);
+      }
+    } else {
+      q.for_each([&a](Packet& p) { io(a, p); });
+    }
+  }
+
+  static void io(A& a, AckInfo& k) {
+    a.u64(k.uid);
+    a.u32(k.cum, k.sack);
+    a.u8(k.nack, k.ce);
+    a.u32(k.util);
+    a.u64(k.ts);
+  }
+
+  // --- header, fingerprint, engine, flows, stats ---
+
+  static const char* io_header(A& a, Time& at) {
+    std::uint64_t magic = kMagic;
+    std::uint32_t version = kVersion;
+    a.u64(magic);
+    a.u32(version);
+    a.u64(at);
+    if (magic != kMagic) return "bad magic: not a BFC snapshot";
+    if (version != kVersion) return "snapshot version mismatch";
+    return a.ok() && at >= 0 ? nullptr
+                             : "corrupt header: truncated or negative time";
+  }
+
+  // The configuration fingerprint. Loading re-encodes the live pair and
+  // requires the same bytes: one comparison path, no per-field drift.
+  static const char* io_fingerprint(A& a, const ShardedSimulator& sim,
+                                    const Network& net) {
+    const NetParams& p = net.params_;
+    const bool flags[] = {p.bfc, p.dynamic_q, p.hpq, p.resume_limit, p.pfc,
+                          p.sfq, p.per_flow_fq, p.inf_buffer, p.pfabric,
+                          p.win_cap, p.acks_in_data};
+    std::uint32_t bits = 0;
+    for (std::size_t i = 0; i < std::size(flags); ++i) bits |= flags[i] << i;
+    Writer w;
+    w.u32(sim.n_nodes_, p.scheme, p.cc, p.retx, p.sched, bits, p.n_queues,
+          p.n_vfids, p.bloom_bytes, p.bloom_hashes);
+    w.u64(p.hrtt_scale, p.data_loss, p.ctrl_loss, p.fault_seed);
+    w.u64(net.faults_ != nullptr ? net.faults_->transitions().size() : 0);
+    for (const std::uint8_t b : w.take()) {
+      std::uint8_t x = b;
+      a.u8(x);
+      if (x != b) a.fail();
+    }
+    return a.ok() ? nullptr
+                  : "configuration fingerprint mismatch "
+                    "(topology/scheme/overrides/faults differ)";
+  }
+
+  static void io_engine(A& a, ShardedSimulator& sim, Network& net) {
+    const auto n = static_cast<std::size_t>(sim.n_nodes_);
+    // Per-node event sequence numbers (environment entities are
+    // harness-owned and restart at zero), then the setup-space counters:
+    // streamed flow starts keep consuming these after a restore, so they
+    // resume exactly where the checkpoint left them.
+    for (std::size_t i = 0; i < n; ++i) a.u32(sim.seq_[i]);
+    for (std::size_t i = 0; i < n; ++i) a.u32(sim.setup_seq_[i]);
+    // Per-node executed-event attribution, which rebuilds shard totals.
+    for (std::size_t i = 0; i < n; ++i) a.u64(sim.node_events_[i]);
+    // Per-node RNG streams (fault draws + ECN marking).
+    for (std::size_t i = 0; i < n; ++i) {
+      io(a, net.fault_rng_[i]);
+      io(a, net.mark_rng_[i]);
+    }
+  }
+
+  static void io(A& a, Flow& f) {
+    a.u64(f.uid);
+    io(a, f.key);
+    a.u64(f.bytes);
+    a.u32(f.total_pkts);
+    a.u8(f.incast);
+    // v2: packed route ids instead of two serialized HopVecs.
+    a.u32(f.vfid, f.path_id, f.rpath_id, f.rvfid);
+    a.u64(f.base_rtt, f.ack_lat, f.rto, f.line_bps, f.rate_bps);
+    a.u32(f.win_pkts, f.next_seq, f.cum, f.max_sent, f.sacked_beyond_cum);
+    io_via(a, f.acked.words(),
+           [&f](auto w) { f.acked.set_words(std::move(w)); });
+    io_via(a, f.retx_q.pending(),
+           [&f](auto q) { f.retx_q.assign_pending(std::move(q)); });
+    a.u64(f.next_send, f.last_progress, f.last_rewind, f.last_fast_retx);
+    a.u8(f.sender_done);
+    a.u32(f.rto_gen, f.route_epoch);
+    a.u8(f.backoff_exp);
+    a.u64(f.parked_since);
+    a.u8(f.send_state, f.index_slots);
+    a.u64(f.cc_target, f.cc_alpha, f.cc_last_cut, f.cc_last_inc,
+          f.tm_prev_rtt, f.tm_grad, f.hpcc_last_dec);
+    a.u32(f.rroute_epoch, f.rcv_slot);
+  }
+
+  // Flows, uid-sorted (the map iteration order is hash-layout-dependent).
+  // A loaded flow must join two hosts; its source picks the owning shard.
+  static void io_flows(A& a, ShardedSimulator& sim, Network& net) {
+    std::vector<Flow*> flows;
+    for (const auto& slice : net.flows_) {
+      for (const auto& [uid, f] : slice) flows.push_back(f.get());
+    }
+    std::sort(flows.begin(), flows.end(),
+              [](const Flow* x, const Flow* y) { return x->uid < y->uid; });
+    const auto host = [&net](std::uint32_t node) {
+      return node < net.devices_.size() &&
+             net.topo().is_host(static_cast<int>(node));
+    };
+    const std::size_t n = a.count(flows.size(), 8, wire_size<Flow>());
+    for (std::size_t i = 0; i < n && a.ok(); ++i) {
+      auto owned = A::kLoad ? std::make_unique<Flow>() : nullptr;
+      Flow& f = A::kLoad ? *owned : *flows[i];
+      io(a, f);
+      if constexpr (A::kLoad) {
+        if (!host(f.key.src) || !host(f.key.dst)) a.fail();
+        const int src = a.ok() ? static_cast<int>(f.key.src) : 0;
+        auto& slice = net.flows_[static_cast<std::size_t>(sim.shard_of(src))];
+        slice[f.uid] = std::move(owned);
       }
     }
-    return false;
   }
 
-  // --- small codecs ---
-
-  static void save_key(Writer& w, const FlowKey& k) {
-    w.u32(k.src);
-    w.u32(k.dst);
-    w.u32(k.src_port);
-    w.u32(k.dst_port);
-  }
-  static FlowKey load_key(Reader& r) {
-    FlowKey k;
-    k.src = r.u32();
-    k.dst = r.u32();
-    k.src_port = static_cast<std::uint16_t>(r.u32());
-    k.dst_port = static_cast<std::uint16_t>(r.u32());
-    return k;
+  static void io(A& a, FlowRecord& r) {
+    io(a, r.key);
+    a.u64(r.bytes, r.start, r.end);
+    a.u8(r.incast);
   }
 
-  static void save_bits(Writer& w, const std::shared_ptr<const BloomBits>& b) {
-    w.u8(b != nullptr);
-    if (b != nullptr) w.vec_u64(*b);
-  }
-  static std::shared_ptr<const BloomBits> load_bits(Reader& r) {
-    if (r.u8() == 0) return nullptr;
-    return std::make_shared<const BloomBits>(r.read_vec_u64());
-  }
-
-  static void save_packet(Writer& w, const Packet& p) {
-    w.u64(p.flow != nullptr ? p.flow->uid : kNoFlow);
-    w.u32(p.seq);
-    w.u32(p.vfid);
-    w.i32(p.wire);
-    w.i32(p.hop);
-    w.u8(p.is_ack);
-    w.u8(p.ce);
-    w.u8(p.single);
-    w.u8(p.nack);
-    w.u8(p.tracked);
-    w.u32(p.cum);
-    w.i64(p.prio);
-    w.f32(p.util);
-    w.i64(p.ts);
-    w.i32(p.buf_in);
-    for (std::uint16_t hop : p.route) w.u32(hop);
-    w.i64(p.ack_lat);
-  }
-  static Packet load_packet(Reader& r, Network& net) {
-    Packet p;
-    const std::uint64_t uid = r.u64();
-    if (uid != kNoFlow) {
-      p.flow = net.flow(uid);
-      if (p.flow == nullptr) r.fail();
-    }
-    p.seq = r.u32();
-    p.vfid = r.u32();
-    p.wire = r.i32();
-    p.hop = r.i32();
-    p.is_ack = r.u8() != 0;
-    p.ce = r.u8() != 0;
-    p.single = r.u8() != 0;
-    p.nack = r.u8() != 0;
-    p.tracked = r.u8() != 0;
-    p.cum = r.u32();
-    p.prio = r.i64();
-    p.util = r.f32();
-    p.ts = r.i64();
-    p.buf_in = r.i32();
-    for (std::uint16_t& hop : p.route) hop = static_cast<std::uint16_t>(r.u32());
-    p.ack_lat = r.i64();
-    return p;
-  }
-
-  static void save_fifo(Writer& w, const PacketFifo& q) {
-    w.u32(static_cast<std::uint32_t>(q.size()));
-    q.for_each([&w](const Packet& p) { save_packet(w, p); });
-  }
-  static void load_fifo(Reader& r, Network& net, PacketArena& arena,
-                        PacketFifo* q) {
-    const std::uint32_t n = r.u32();
-    for (std::uint32_t i = 0; i < n && r.ok(); ++i) {
-      q->push(arena, load_packet(r, net));
-    }
-  }
-
-  static void save_ack(Writer& w, const AckInfo& a) {
-    w.u64(a.uid);
-    w.u32(a.cum);
-    w.u32(a.sack);
-    w.u8(a.nack);
-    w.u8(a.ce);
-    w.f32(a.util);
-    w.i64(a.ts);
-  }
-  static AckInfo load_ack(Reader& r) {
-    AckInfo a;
-    a.uid = r.u64();
-    a.cum = r.u32();
-    a.sack = r.u32();
-    a.nack = r.u8() != 0;
-    a.ce = r.u8() != 0;
-    a.util = r.f32();
-    a.ts = r.i64();
-    return a;
-  }
-
-  // --- fingerprint ---
-
-  static void save_fingerprint(Writer& w, const ShardedSimulator& sim,
-                               const Network& net) {
-    const NetParams& p = net.params_;
-    w.u32(static_cast<std::uint32_t>(sim.n_nodes_));
-    w.u32(static_cast<std::uint32_t>(p.scheme));
-    w.u32(static_cast<std::uint32_t>(p.cc));
-    w.u32(static_cast<std::uint32_t>(p.retx));
-    w.u32(static_cast<std::uint32_t>(p.sched));
-    std::uint32_t flags = 0;
-    flags |= p.bfc ? 1u << 0 : 0;
-    flags |= p.dynamic_q ? 1u << 1 : 0;
-    flags |= p.hpq ? 1u << 2 : 0;
-    flags |= p.resume_limit ? 1u << 3 : 0;
-    flags |= p.pfc ? 1u << 4 : 0;
-    flags |= p.sfq ? 1u << 5 : 0;
-    flags |= p.per_flow_fq ? 1u << 6 : 0;
-    flags |= p.inf_buffer ? 1u << 7 : 0;
-    flags |= p.pfabric ? 1u << 8 : 0;
-    flags |= p.win_cap ? 1u << 9 : 0;
-    flags |= p.acks_in_data ? 1u << 10 : 0;
-    w.u32(flags);
-    w.u32(static_cast<std::uint32_t>(p.n_queues));
-    w.u32(static_cast<std::uint32_t>(p.n_vfids));
-    w.u32(static_cast<std::uint32_t>(p.bloom_bytes));
-    w.u32(static_cast<std::uint32_t>(p.bloom_hashes));
-    w.f64(p.hrtt_scale);
-    w.f64(p.data_loss);
-    w.f64(p.ctrl_loss);
-    w.u64(p.fault_seed);
-    w.u64(net.faults_ != nullptr ? net.faults_->transitions().size() : 0);
-  }
-
-  // Reads the saved fingerprint and compares it against a second Writer
-  // pass over the live pair — one comparison path, no field-by-field
-  // duplication to drift.
-  static bool check_fingerprint(Reader& r, const ShardedSimulator& sim,
-                                const Network& net) {
-    Writer expect;
-    save_fingerprint(expect, sim, net);
-    const std::vector<std::uint8_t> want = expect.take();
-    for (std::uint8_t b : want) {
-      if (!r.ok() || r.u8() != b) return false;
-    }
-    return r.ok();
-  }
-
-  // --- flows ---
-
-  static void save_flow(Writer& w, const Flow& f) {
-    w.u64(f.uid);
-    save_key(w, f.key);
-    w.u64(f.bytes);
-    w.u32(f.total_pkts);
-    w.u8(f.incast);
-    w.u32(f.vfid);
-    // v2: packed route ids (8 bytes) instead of two serialized HopVecs.
-    w.u32(f.path_id);
-    w.u32(f.rpath_id);
-    w.u32(f.rvfid);
-    w.i64(f.base_rtt);
-    w.i64(f.ack_lat);
-    w.i64(f.rto);
-    w.f64(f.line_bps);
-    w.f64(f.rate_bps);
-    w.u32(f.win_pkts);
-    w.u32(f.next_seq);
-    w.u32(f.cum);
-    w.u32(f.max_sent);
-    w.u32(f.sacked_beyond_cum);
-    w.vec_u64(f.acked.words());
-    w.vec_u32(f.retx_q.pending());
-    w.i64(f.next_send);
-    w.i64(f.last_progress);
-    w.i64(f.last_rewind);
-    w.i64(f.last_fast_retx);
-    w.u8(f.sender_done);
-    w.i32(f.rto_gen);
-    w.i32(f.route_epoch);
-    w.u8(f.backoff_exp);
-    w.i64(f.parked_since);
-    w.u8(static_cast<std::uint8_t>(f.send_state));
-    w.u8(f.index_slots);
-    w.f64(f.cc_target);
-    w.f64(f.cc_alpha);
-    w.i64(f.cc_last_cut);
-    w.i64(f.cc_last_inc);
-    w.f64(f.tm_prev_rtt);
-    w.f64(f.tm_grad);
-    w.i64(f.hpcc_last_dec);
-    w.i32(f.rroute_epoch);
-    w.i32(f.rcv_slot);
-  }
-
-  static void load_flow(Reader& r, Flow* f) {
-    f->uid = r.u64();
-    f->key = load_key(r);
-    f->bytes = r.u64();
-    f->total_pkts = r.u32();
-    f->incast = r.u8() != 0;
-    f->vfid = r.u32();
-    f->path_id = r.u32();
-    f->rpath_id = r.u32();
-    f->rvfid = r.u32();
-    f->base_rtt = r.i64();
-    f->ack_lat = r.i64();
-    f->rto = r.i64();
-    f->line_bps = r.f64();
-    f->rate_bps = r.f64();
-    f->win_pkts = r.u32();
-    f->next_seq = r.u32();
-    f->cum = r.u32();
-    f->max_sent = r.u32();
-    f->sacked_beyond_cum = r.u32();
-    f->acked.set_words(r.read_vec_u64());
-    f->retx_q.assign_pending(r.read_vec_u32());
-    f->next_send = r.i64();
-    f->last_progress = r.i64();
-    f->last_rewind = r.i64();
-    f->last_fast_retx = r.i64();
-    f->sender_done = r.u8() != 0;
-    f->rto_gen = r.i32();
-    f->route_epoch = r.i32();
-    f->backoff_exp = r.u8();
-    f->parked_since = r.i64();
-    f->send_state = static_cast<SendState>(r.u8());
-    f->index_slots = r.u8();
-    f->cc_target = r.f64();
-    f->cc_alpha = r.f64();
-    f->cc_last_cut = r.i64();
-    f->cc_last_inc = r.i64();
-    f->tm_prev_rtt = r.f64();
-    f->tm_grad = r.f64();
-    f->hpcc_last_dec = r.i64();
-    f->rroute_epoch = r.i32();
-    f->rcv_slot = r.i32();
+  // FlowStats, already folded; std::map iterates key-sorted.
+  static void io(A& a, FlowStats& st) {
+    io_map(a, st.records_, 8 + wire_size<FlowRecord>(),
+           [&a](auto& uid, FlowRecord& r) {
+             a.u64(uid);
+             io(a, r);
+           });
+    io_seq(a, st.pending_, 8, 16, [&a](auto& p) { a.u64(p.first, p.second); });
+    a.u64(st.completed_);
   }
 
   // --- devices ---
 
-  static void save_nic(Writer& w, const Nic& nic) {
-    const NicStats& s = nic.stats_;
-    w.i64(s.rto_fires);
-    w.i64(s.data_retx);
-    w.i64(s.pkts_sent);
-    w.i64(s.delivered_payload);
-    w.i64(s.acks_data_path);
-    w.i64(s.acks_deferred);
-    w.i64(s.reroutes);
-    w.i64(s.unreachable_parks);
-    w.i64(s.blackholed);
-    w.u8(nic.busy_);
-    w.u8(nic.pfc_paused_);
-    w.u8(nic.link_down_);
-    w.i64(nic.wake_at_);
-    save_bits(w, nic.pause_bits_);
-    w.u64(nic.ack_q_.size());
-    for (const Packet& p : nic.ack_q_) save_packet(w, p);
+  // One sender-index container as a uid list. The index is source-side
+  // state, so every listed flow must be sourced at this NIC.
+  static void io_senders(A& a, int node, std::vector<Flow*>& flows) {
+    io_seq(a, flows, 8, 8, [&a, node](Flow*& f) {
+      f = io_flow(a, f);
+      if (f != nullptr && static_cast<int>(f->key.src) != node) a.fail();
+    });
+  }
+
+  static void io(A& a, Nic& nic) {
+    NicStats& s = nic.stats_;
+    a.u64(s.rto_fires, s.data_retx, s.pkts_sent, s.delivered_payload,
+          s.acks_data_path, s.acks_deferred, s.reroutes, s.unreachable_parks,
+          s.blackholed);
+    a.u8(nic.busy_, nic.pfc_paused_, nic.link_down_);
+    a.u64(nic.wake_at_);
+    io(a, nic.pause_bits_);
+    io_seq(a, nic.ack_q_, 8, wire_size<Packet>(),
+           [&a](Packet& p) { io(a, p); });
     // Receiver slab: slots (live and free) plus the free list, so slot
     // handles (Flow::rcv_slot) stay valid verbatim.
-    w.u64(nic.rcv_slab_.slab_.size());
-    for (const ReceiverState& rs : nic.rcv_slab_.slab_) {
-      w.u32(rs.rcv_next);
-      w.vec_u64(rs.rcvd.words());
+    ReceiverSlab& rs = nic.rcv_slab_;
+    io_seq(a, rs.slab_, 8, 12, [&a](ReceiverState& r) {
+      a.u32(r.rcv_next);
+      io_via(a, r.rcvd.words(),
+             [&r](auto w) { r.rcvd.set_words(std::move(w)); });
+    });
+    a.vec(rs.free_);
+    a.u64(rs.hw_);
+    // Sender flow index, in container order (the eligible FIFO order IS
+    // the service order). The kIn* membership bits ride each Flow's own
+    // image, so loading only rethreads the FIFO links — a flow may sit in
+    // it once — and materializes the slab if anything was queued.
+    FlowIndex& ix = nic.index_;
+    std::vector<Flow*> flows;
+    for (Flow* f = ix.elig_head_; f != nullptr; f = f->elig_next) {
+      flows.push_back(f);
     }
-    w.vec_u32(nic.rcv_slab_.free_);
-    w.u64(nic.rcv_slab_.hw_);
-    // Sender flow index: containers hold Flow pointers; serialize uids in
-    // container order (the eligible FIFO order IS the service order).
-    const FlowIndex& ix = nic.index_;
-    w.u64(ix.elig_count_);
-    for (const Flow* f = ix.elig_head_; f != nullptr; f = f->elig_next) {
-      w.u64(f->uid);
+    io_senders(a, nic.id(), flows);
+    for (std::size_t i = 0; A::kLoad && i < flows.size() && a.ok(); ++i) {
+      Flow* f = flows[i];
+      if (f->elig_next != nullptr || f == ix.elig_tail_) a.fail();
+      if (a.ok()) ix.fifo_push(f);
     }
-    const std::size_t n_pacing =
-        ix.slab_ == nullptr ? 0 : ix.slab_->pacing.size();
-    const std::size_t n_paused =
-        ix.slab_ == nullptr ? 0 : ix.slab_->paused.size();
-    w.u64(n_pacing);
-    for (std::size_t i = 0; i < n_pacing; ++i) {
-      w.u64(ix.slab_->pacing[i]->uid);
+    for (auto heap : {&FlowIndex::SenderSlab::pacing,
+                      &FlowIndex::SenderSlab::paused}) {
+      flows.clear();
+      if (ix.slab_ != nullptr) flows = (*ix.slab_).*heap;
+      io_senders(a, nic.id(), flows);
+      if (A::kLoad && !flows.empty()) ix.slab().*heap = flows;
     }
-    w.u64(n_paused);
-    for (std::size_t i = 0; i < n_paused; ++i) {
-      w.u64(ix.slab_->paused[i]->uid);
-    }
-    save_bits(w, ix.bits_);
-    w.i64(ix.next_gate_);
-    w.u64(ix.transitions_);
+    io(a, ix.bits_);
+    a.u64(ix.next_gate_, ix.transitions_);
   }
 
-  static void load_nic(Reader& r, Network& net, Nic* nic) {
-    NicStats& s = nic->stats_;
-    s.rto_fires = r.i64();
-    s.data_retx = r.i64();
-    s.pkts_sent = r.i64();
-    s.delivered_payload = r.i64();
-    s.acks_data_path = r.i64();
-    s.acks_deferred = r.i64();
-    s.reroutes = r.i64();
-    s.unreachable_parks = r.i64();
-    s.blackholed = r.i64();
-    nic->busy_ = r.u8() != 0;
-    nic->pfc_paused_ = r.u8() != 0;
-    nic->link_down_ = r.u8() != 0;
-    nic->wake_at_ = r.i64();
-    nic->pause_bits_ = load_bits(r);
-    const std::uint64_t n_acks = r.u64();
-    nic->ack_q_.clear();
-    for (std::uint64_t i = 0; i < n_acks && r.ok(); ++i) {
-      nic->ack_q_.push_back(load_packet(r, net));
-    }
-    const std::uint64_t n_slots = r.u64();
-    nic->rcv_slab_.slab_.clear();
-    for (std::uint64_t i = 0; i < n_slots && r.ok(); ++i) {
-      ReceiverState rs;
-      rs.rcv_next = r.u32();
-      rs.rcvd.set_words(r.read_vec_u64());
-      nic->rcv_slab_.slab_.push_back(std::move(rs));
-    }
-    nic->rcv_slab_.free_ = r.read_vec_u32();
-    nic->rcv_slab_.hw_ = r.u64();
-    // Flow index: rebuilt in container order. The kIn* membership bits
-    // ride each Flow's own image, so the FIFO links are re-threaded and
-    // the slab re-materialized (only if anything was queued) without
-    // touching them.
-    FlowIndex& ix = nic->index_;
-    const std::uint64_t n_el = r.u64();
-    for (std::uint64_t i = 0; i < n_el && r.ok(); ++i) {
-      Flow* f = net.flow(r.u64());
-      if (f == nullptr) r.fail();
-      else ix.fifo_push(f);
-    }
-    const std::uint64_t n_pc = r.u64();
-    for (std::uint64_t i = 0; i < n_pc && r.ok(); ++i) {
-      Flow* f = net.flow(r.u64());
-      if (f == nullptr) r.fail();
-      else ix.slab().pacing.push_back(f);
-    }
-    const std::uint64_t n_pa = r.u64();
-    for (std::uint64_t i = 0; i < n_pa && r.ok(); ++i) {
-      Flow* f = net.flow(r.u64());
-      if (f == nullptr) r.fail();
-      else ix.slab().paused.push_back(f);
-    }
-    ix.bits_ = load_bits(r);
-    ix.next_gate_ = r.i64();
-    ix.transitions_ = r.u64();
-  }
-
-  static void save_table(Writer& w, const FlowTable& t) {
-    // Live entries, key-sorted so the image is independent of insertion
-    // history and chunk placement. Way/overflow placement is NOT encoded:
-    // find() is keyed, so placement is behavior-invariant, and restore
-    // re-acquires in sorted order.
-    std::vector<const FlowEntry*> live;
-    live.reserve(t.live_);
+  // Live entries, key-sorted so the image is independent of insertion
+  // history and chunk placement. Way/overflow placement is NOT encoded:
+  // find() is keyed, so placement is behavior-invariant, and restore
+  // re-acquires in sorted order. Then the materialized-chunk set and
+  // overflow init: restore force-materializes so the footprint telemetry
+  // (table_chunks) round-trips exactly.
+  static void io(A& a, FlowTable& t, int n_ports) {
+    std::vector<FlowEntry*> live;
     for (std::size_t ci = 0; ci < t.banks_.size(); ++ci) {
-      const FlowTable::Bank& b = t.banks_[ci];
-      if (b.entries == nullptr) continue;
-      const std::size_t n = t.chunk_buckets(ci) * static_cast<std::size_t>(t.ways_);
-      for (std::size_t i = 0; i < n; ++i) {
-        if (b.entries[i].in_use) live.push_back(&b.entries[i]);
+      FlowEntry* entries = t.banks_[ci].entries;
+      const std::size_t n = t.chunk_buckets(ci) * t.ways_;
+      for (std::size_t i = 0; entries != nullptr && i < n; ++i) {
+        if (entries[i].in_use) live.push_back(&entries[i]);
       }
     }
-    for (const FlowEntry& e : t.overflow_) {
+    for (FlowEntry& e : t.overflow_) {
       if (e.in_use) live.push_back(&e);
     }
     std::sort(live.begin(), live.end(),
-              [](const FlowEntry* a, const FlowEntry* b) {
-                if (a->egress != b->egress) return a->egress < b->egress;
-                if (a->vfid != b->vfid) return a->vfid < b->vfid;
-                return a->prio < b->prio;
+              [](const FlowEntry* x, const FlowEntry* y) {
+                return std::tie(x->egress, x->vfid, x->prio) <
+                       std::tie(y->egress, y->vfid, y->prio);
               });
-    w.u64(live.size());
-    for (const FlowEntry* e : live) {
-      w.u32(e->vfid);
-      w.i32(e->egress);
-      w.i32(e->prio);
-      w.i32(e->queue);
-      w.i32(e->pkts);
-      w.i32(e->in_port);
-      w.u8(e->paused);
-      w.u8(e->resume_pending);
-      w.u8(e->holds_resume_slot);
+    // 27 bytes: vfid, egress, prio, queue, pkts, in_port, three flags.
+    const std::size_t n = a.count(live.size(), 8, 27);
+    for (std::size_t i = 0; i < n && a.ok(); ++i) {
+      FlowEntry scratch;
+      FlowEntry* e = A::kLoad ? &scratch : live[i];
+      a.u32(e->vfid, e->egress, e->prio);
+      if constexpr (A::kLoad) {
+        bool created = false;
+        const bool port_ok = e->egress >= 0 && e->egress < n_ports;
+        FlowEntry* got =
+            port_ok ? t.acquire(e->vfid, e->egress, e->prio, created) : nullptr;
+        if (got == nullptr) a.fail();
+        e = got != nullptr ? got : e;
+      }
+      a.u32(e->queue, e->pkts, e->in_port);
+      a.u8(e->paused, e->resume_pending, e->holds_resume_slot);
+      if (e->in_port < -1 || e->in_port >= n_ports) a.fail();
     }
-    // Materialized-chunk set + overflow init: restore force-materializes
-    // so the footprint telemetry (table_chunks) round-trips exactly.
-    w.u64(t.banks_.size());
-    for (const FlowTable::Bank& b : t.banks_) w.u8(b.entries != nullptr);
-    w.u8(t.overflow_init_);
-    w.i64(t.rejects_);
+    io_fixed(a, t.banks_.size(), 8);
+    for (std::size_t ci = 0; ci < t.banks_.size() && a.ok(); ++ci) {
+      bool chunk = t.banks_[ci].entries != nullptr;
+      a.u8(chunk);
+      if (A::kLoad && chunk) t.bank_for(ci * FlowTable::kChunkBuckets);
+    }
+    bool overflow = t.overflow_init_;
+    a.u8(overflow);
+    if (A::kLoad && overflow) t.ensure_overflow();
+    a.u64(t.rejects_);
   }
 
-  static void load_table(Reader& r, FlowTable* t) {
-    const std::uint64_t n = r.u64();
-    for (std::uint64_t i = 0; i < n && r.ok(); ++i) {
-      const std::uint32_t vfid = r.u32();
-      const std::int32_t egress = r.i32();
-      const std::int32_t prio = r.i32();
-      bool created = false;
-      FlowEntry* e = t->acquire(vfid, egress, prio, created);
-      if (e == nullptr) {
-        r.fail();
-        // Still consume the record so the stream stays aligned.
-        (void)r.i32();
-        (void)r.i32();
-        (void)r.i32();
-        (void)r.u8();
-        (void)r.u8();
-        (void)r.u8();
-        continue;
-      }
-      e->queue = r.i32();
-      e->pkts = r.i32();
-      e->in_port = r.i32();
-      e->paused = r.u8() != 0;
-      e->resume_pending = r.u8() != 0;
-      e->holds_resume_slot = r.u8() != 0;
-    }
-    const std::uint64_t n_banks = r.u64();
-    if (n_banks != t->banks_.size()) {
-      r.fail();
-      return;
-    }
-    for (std::uint64_t ci = 0; ci < n_banks; ++ci) {
-      const bool want = r.u8() != 0;
-      if (want && t->banks_[ci].entries == nullptr) {
-        t->bank_for(ci * FlowTable::kChunkBuckets);
-      }
-    }
-    if (r.u8() != 0 && !t->overflow_init_) t->ensure_overflow();
-    t->rejects_ = r.i64();
-  }
-
-  static void save_switch(Writer& w, const Switch& sw) {
-    w.i64(sw.buffer_used_);
-    w.i64(sw.totals_.pfc_pauses_sent);
-    w.i64(sw.totals_.pfc_resumes_sent);
-    w.i64(sw.totals_.drops);
-    w.i64(sw.totals_.blackholed);
-    w.i64(sw.bfc_totals_.pauses);
-    w.i64(sw.bfc_totals_.resumes);
-    w.i64(sw.bfc_totals_.overflow_packets);
-    w.i64(sw.assignments_);
-    w.i64(sw.collisions_);
-    w.vec_i32(sw.saved_rr_);
-    for (std::int64_t ns : sw.reclaimed_pfc_ns_) w.i64(ns);
-    w.vec_u8(sw.port_down_);
-    w.vec_i64(sw.port_down_t0_);
-    save_table(w, sw.table_);
-
-    // Egress slabs.
-    w.u32(static_cast<std::uint32_t>(sw.egress_.size()));
-    for (const auto& slot : sw.egress_) {
-      const Switch::Egress* eg = slot.get();
-      w.u8(eg != nullptr);
-      if (eg == nullptr) continue;
-      w.i64(eg->last_active);
-      save_fifo(w, eg->hpq);
-      w.u32(static_cast<std::uint32_t>(eg->dq.size()));
-      for (const PacketFifo& q : eg->dq) save_fifo(w, q);
-      w.vec_u64(eg->dq_occ);
-      w.u64(eg->pause_gen);
-      w.vec_i32(eg->dq_flows);
-      w.vec_i64(eg->deficit);
-      // Per-queue entry lists: (vfid, prio) refs in head->tail order.
-      w.u32(static_cast<std::uint32_t>(eg->q_entries.size()));
-      for (const FlowEntry* head : eg->q_entries) {
-        std::uint32_t n = 0;
-        for (const FlowEntry* e = head; e != nullptr; e = e->q_next) ++n;
-        w.u32(n);
-        for (const FlowEntry* e = head; e != nullptr; e = e->q_next) {
-          w.u32(e->vfid);
-          w.i32(e->prio);
-        }
-      }
-      // Per-queue resume limiters.
-      w.u32(static_cast<std::uint32_t>(eg->resume.size()));
-      for (const Switch::QueueResume& qr : eg->resume) {
-        w.u32(static_cast<std::uint32_t>(qr.pending.size()));
-        for (const FlowEntry* e : qr.pending) {
-          w.u32(e->vfid);
-          w.i32(e->prio);
-        }
-        w.i32(qr.outstanding);
-        w.i32(qr.paused);
-      }
-      w.u64(eg->srpt.size());
-      for (const auto& [prio, pkt] : eg->srpt) {
-        w.i64(prio);
-        save_packet(w, pkt);
-      }
-      w.i64(eg->srpt_bytes);
-      w.i64(eg->port_bytes);
-      w.i32(eg->rr);
-      w.u8(eg->busy);
-      w.u8(eg->peer_pfc_paused);
-      w.i64(eg->pfc_since);
-      w.i64(eg->pfc_ns);
-      save_bits(w, eg->pause_bits);
-      // Ideal-FQ dynamic queue map, key-sorted for layout independence.
-      std::vector<std::pair<std::uint64_t, int>> fq(eg->flow_q.begin(),
-                                                    eg->flow_q.end());
-      std::sort(fq.begin(), fq.end());
-      w.u64(fq.size());
-      for (const auto& [uid, q] : fq) {
-        w.u64(uid);
-        w.i32(q);
-      }
-      w.vec_i32(eg->free_q);
-    }
-
-    // Ingress slabs.
-    w.u32(static_cast<std::uint32_t>(sw.ingress_.size()));
-    for (const auto& slot : sw.ingress_) {
-      const Switch::Ingress* in = slot.get();
-      w.u8(in != nullptr);
-      if (in == nullptr) continue;
-      w.i64(in->last_active);
-      w.u8(in->bloom != nullptr);
-      if (in->bloom != nullptr) w.vec_u8(in->bloom->counters());
-      w.i64(in->resident_bytes);
-      w.u8(in->pfc_sent);
-      w.u8(in->snapshot_dirty);
-      w.i32(in->paused_flows);
-      w.i64(in->pause_t0);
-    }
-
-    // Armed flags and slab-churn counters last: restore materializes the
-    // slabs with the flags pinned true (so ensure_* posts no events) and
-    // overwrites flags + counters from here afterwards.
-    w.u8(sw.refresh_armed_);
-    w.u8(sw.reclaim_armed_);
-    w.u64(sw.eg_live_hw_);
-    w.u64(sw.in_live_hw_);
-    w.u64(sw.reclaim_sweeps_);
-    w.u64(sw.reclaimed_ports_);
-  }
-
-  static void load_switch(Reader& r, Network& net, Switch* sw) {
-    sw->buffer_used_ = r.i64();
-    sw->totals_.pfc_pauses_sent = r.i64();
-    sw->totals_.pfc_resumes_sent = r.i64();
-    sw->totals_.drops = r.i64();
-    sw->totals_.blackholed = r.i64();
-    sw->bfc_totals_.pauses = r.i64();
-    sw->bfc_totals_.resumes = r.i64();
-    sw->bfc_totals_.overflow_packets = r.i64();
-    sw->assignments_ = r.i64();
-    sw->collisions_ = r.i64();
-    sw->saved_rr_ = r.read_vec_i32();
-    for (std::int64_t& ns : sw->reclaimed_pfc_ns_) ns = r.i64();
-    sw->port_down_ = r.vec_u8();
-    sw->port_down_t0_ = r.read_vec_i64();
-    // Pin the armed flags so ensure_egress/ensure_ingress materialize
-    // without posting events or consuming sequence numbers — the pending
-    // ev_reclaim/ev_refresh events (if any were armed) arrive with the
-    // saved event list. The saved flag values land at the end.
-    sw->reclaim_armed_ = true;
-    sw->refresh_armed_ = true;
-    load_table(r, &sw->table_);
-
-    PacketArena& arena = sw->shard().arena();
-    const std::uint32_t n_eg = r.u32();
-    if (n_eg != sw->egress_.size()) {
-      r.fail();
-      return;
-    }
-    for (std::uint32_t port = 0; port < n_eg && r.ok(); ++port) {
-      if (r.u8() == 0) continue;
-      Switch::Egress& eg = sw->ensure_egress(static_cast<int>(port));
-      eg.last_active = r.i64();
-      load_fifo(r, net, arena, &eg.hpq);
-      const std::uint32_t nq = r.u32();
-      if (nq > 1u << 20) {
-        r.fail();
-        return;
-      }
+  static void io(A& a, Switch::Egress& eg, Switch& sw) {
+    PacketArena& arena = sw.shard().arena();
+    a.u64(eg.last_active);
+    io(a, eg.hpq, arena);
+    // A data queue's records take at least 32 bytes: FIFO count (4),
+    // dq_flows (4), deficit (8), entry-list count (4), resume count +
+    // outstanding + paused (12).
+    const std::size_t nq = a.count(eg.dq.size(), 4, 32);
+    if constexpr (A::kLoad) {
       eg.dq.resize(nq);
-      for (std::uint32_t q = 0; q < nq && r.ok(); ++q) {
-        load_fifo(r, net, arena, &eg.dq[q]);
-      }
-      eg.dq_occ = r.read_vec_u64();
-      eg.pause_gen = r.u64();
-      eg.dq_flows = r.read_vec_i32();
-      eg.deficit = r.read_vec_i64();
       // Head-pause memos are caches keyed by (pause_gen, head vfid);
       // zeroed memos simply miss and recompute against pause_bits.
       eg.head_gen.assign(nq, 0);
       eg.head_vfid.assign(nq, 0);
       eg.head_paused.assign(nq, 0);
-      const std::uint32_t n_qe = r.u32();
-      eg.q_entries.assign(n_qe, nullptr);
-      for (std::uint32_t q = 0; q < n_qe && r.ok(); ++q) {
-        const std::uint32_t n = r.u32();
-        std::vector<std::pair<std::uint32_t, std::int32_t>> refs;
-        refs.reserve(n);
-        for (std::uint32_t i = 0; i < n && r.ok(); ++i) {
-          const std::uint32_t vfid = r.u32();
-          const std::int32_t prio = r.i32();
-          refs.emplace_back(vfid, prio);
-        }
-        // Rebuild the intrusive list head->tail by linking in reverse.
-        FlowEntry* head = nullptr;
-        for (auto it = refs.rbegin(); it != refs.rend(); ++it) {
-          FlowEntry* e =
-              sw->table_.find(it->first, static_cast<int>(port), it->second);
-          if (e == nullptr) {
-            r.fail();
-            break;
-          }
-          e->q_prev = nullptr;
-          e->q_next = head;
-          if (head != nullptr) head->q_prev = e;
-          head = e;
-        }
-        eg.q_entries[q] = head;
-      }
-      const std::uint32_t n_res = r.u32();
-      eg.resume.clear();
-      eg.resume.resize(n_res);
-      for (std::uint32_t q = 0; q < n_res && r.ok(); ++q) {
-        Switch::QueueResume& qr = eg.resume[q];
-        const std::uint32_t n = r.u32();
-        for (std::uint32_t i = 0; i < n && r.ok(); ++i) {
-          const std::uint32_t vfid = r.u32();
-          const std::int32_t prio = r.i32();
-          FlowEntry* e =
-              sw->table_.find(vfid, static_cast<int>(port), prio);
-          if (e == nullptr) {
-            r.fail();
-            break;
-          }
-          qr.pending.push_back(e);
-        }
-        qr.outstanding = r.i32();
-        qr.paused = r.i32();
-      }
-      const std::uint64_t n_srpt = r.u64();
-      eg.srpt.clear();
-      for (std::uint64_t i = 0; i < n_srpt && r.ok(); ++i) {
-        const std::int64_t prio = r.i64();
-        eg.srpt.emplace(prio, load_packet(r, net));
-      }
-      eg.srpt_bytes = r.i64();
-      eg.port_bytes = r.i64();
-      eg.rr = r.i32();
-      eg.busy = r.u8() != 0;
-      eg.peer_pfc_paused = r.u8() != 0;
-      eg.pfc_since = r.i64();
-      eg.pfc_ns = r.i64();
-      eg.pause_bits = load_bits(r);
-      const std::uint64_t n_fq = r.u64();
-      eg.flow_q.clear();
-      for (std::uint64_t i = 0; i < n_fq && r.ok(); ++i) {
-        const std::uint64_t uid = r.u64();
-        eg.flow_q[uid] = r.i32();
-      }
-      eg.free_q = r.read_vec_i32();
+      eg.q_entries.assign(nq, nullptr);
+      eg.resume.resize(nq);
     }
+    for (PacketFifo& q : eg.dq) io(a, q, arena);
+    io_vec(a, eg.dq_occ, (nq + 63) / 64);
+    a.u64(eg.pause_gen);
+    io_vec(a, eg.dq_flows, nq);
+    io_vec(a, eg.deficit, nq);
+    const auto entry = [&a, &sw, &eg](FlowEntry*& e) {
+      io_entry(a, sw.table_, eg.port, e);
+    };
+    // Per-queue entry lists, head to tail. Loading relinks them tail
+    // first; an entry listed twice, or under a queue it is not assigned
+    // to, is corrupt.
+    std::vector<FlowEntry*> list;
+    io_fixed(a, nq, 4);
+    for (std::size_t q = 0; q < nq && a.ok(); ++q) {
+      list.clear();
+      for (FlowEntry* e = eg.q_entries[q]; e != nullptr; e = e->q_next) {
+        list.push_back(e);
+      }
+      io_seq(a, list, 4, 8, entry);
+      for (std::size_t i = list.size(); A::kLoad && a.ok() && i > 0; --i) {
+        FlowEntry* e = list[i - 1];
+        if (e->q_prev != nullptr || e->q_next != nullptr ||
+            e == eg.q_entries[q] || e->queue != static_cast<int>(q)) {
+          a.fail();
+        }
+        if (a.ok()) sw.link_queue_entry(eg, e);
+      }
+    }
+    // Per-queue resume limiters.
+    io_fixed(a, nq, 4);
+    for (std::size_t q = 0; q < nq && a.ok(); ++q) {
+      Switch::QueueResume& qr = eg.resume[q];
+      list.assign(qr.pending.begin(), qr.pending.end());
+      io_seq(a, list, 4, 8, entry);
+      for (std::size_t i = 0; A::kLoad && i < list.size(); ++i) {
+        qr.pending.push_back(list[i]);
+      }
+      a.u32(qr.outstanding, qr.paused);
+    }
+    io_map(a, eg.srpt, 8 + wire_size<Packet>(), [&a](auto& prio, Packet& p) {
+      a.u64(prio);
+      io(a, p);
+    });
+    a.u64(eg.srpt_bytes, eg.port_bytes);
+    a.u32(eg.rr);
+    a.u8(eg.busy, eg.peer_pfc_paused);
+    a.u64(eg.pfc_since, eg.pfc_ns);
+    io(a, eg.pause_bits);
+    // Ideal-FQ dynamic queue map, key-sorted for layout independence.
+    std::vector<std::pair<std::uint64_t, int>> fq(eg.flow_q.begin(),
+                                                  eg.flow_q.end());
+    std::sort(fq.begin(), fq.end());
+    io_seq(a, fq, 8, 12, [&a](auto& kv) {
+      a.u64(kv.first);
+      a.u32(kv.second);
+    });
+    if constexpr (A::kLoad) eg.flow_q.insert(fq.begin(), fq.end());
+    a.vec(eg.free_q);
+  }
 
-    const std::uint32_t n_in = r.u32();
-    if (n_in != sw->ingress_.size()) {
-      r.fail();
-      return;
+  static void io(A& a, Switch::Ingress& in) {
+    a.u64(in.last_active);
+    // The Bloom exists iff the (fingerprinted) scheme is BFC, at the
+    // configured size.
+    bool has_bloom = in.bloom != nullptr;
+    a.u8(has_bloom);
+    if (has_bloom != (in.bloom != nullptr)) a.fail();
+    if (a.ok() && has_bloom) {
+      CountingBloom& bloom = *in.bloom;
+      const int n_bits = bloom.n_bits();
+      io_via(a, bloom.counters(),
+             [&bloom](auto c) { bloom.set_counters(std::move(c)); });
+      if (bloom.n_bits() != n_bits) a.fail();
     }
-    for (std::uint32_t port = 0; port < n_in && r.ok(); ++port) {
-      if (r.u8() == 0) continue;
-      Switch::Ingress& in = sw->ensure_ingress(static_cast<int>(port));
-      in.last_active = r.i64();
-      if (r.u8() != 0) {
-        std::vector<std::uint8_t> counters = r.vec_u8();
-        if (in.bloom == nullptr) {
-          const NetParams& p = net.params();
-          in.bloom = std::make_unique<CountingBloom>(p.bloom_bytes,
-                                                     p.bloom_hashes);
-        }
-        in.bloom->set_counters(std::move(counters));
-      }
-      in.resident_bytes = r.i64();
-      in.pfc_sent = r.u8() != 0;
-      in.snapshot_dirty = r.u8() != 0;
-      in.paused_flows = r.i32();
-      in.pause_t0 = r.i64();
-    }
+    a.u64(in.resident_bytes);
+    a.u8(in.pfc_sent, in.snapshot_dirty);
+    a.u32(in.paused_flows);
+    a.u64(in.pause_t0);
+  }
 
-    sw->refresh_armed_ = r.u8() != 0;
-    sw->reclaim_armed_ = r.u8() != 0;
-    sw->eg_live_hw_ = r.u64();
-    sw->in_live_hw_ = r.u64();
-    sw->reclaim_sweeps_ = r.u64();
-    sw->reclaimed_ports_ = r.u64();
+  // A port-indexed slab directory: the port count (fixed by the
+  // topology), then per port a presence byte and the live slab's state.
+  template <class Slab, class Fn>
+  static void io_slabs(A& a, std::vector<std::unique_ptr<Slab>>& slots,
+                       Fn&& fn) {
+    io_fixed(a, slots.size(), 4);
+    for (std::size_t port = 0; port < slots.size() && a.ok(); ++port) {
+      bool live = slots[port] != nullptr;
+      a.u8(live);
+      if (live) fn(static_cast<int>(port));
+    }
+  }
+
+  static void io(A& a, Switch& sw) {
+    a.u64(sw.buffer_used_, sw.totals_.pfc_pauses_sent,
+          sw.totals_.pfc_resumes_sent, sw.totals_.drops, sw.totals_.blackholed,
+          sw.bfc_totals_.pauses, sw.bfc_totals_.resumes,
+          sw.bfc_totals_.overflow_packets, sw.assignments_, sw.collisions_);
+    const std::size_t n_ports = sw.ports_->size();
+    io_vec(a, sw.saved_rr_, n_ports);
+    for (std::int64_t& ns : sw.reclaimed_pfc_ns_) a.u64(ns);
+    a.vec(sw.port_down_);
+    io_vec(a, sw.port_down_t0_, sw.port_down_.size());
+    if (!sw.port_down_.empty() && sw.port_down_.size() != n_ports) a.fail();
+    if constexpr (A::kLoad) {
+      // Pin the armed flags so ensure_egress/ensure_ingress materialize
+      // without posting events or consuming sequence numbers — the
+      // pending ev_reclaim/ev_refresh events (if any were armed) arrive
+      // with the saved event list. The saved flag values land at the end.
+      sw.reclaim_armed_ = true;
+      sw.refresh_armed_ = true;
+    }
+    io(a, sw.table_, static_cast<int>(n_ports));
+    io_slabs(a, sw.egress_,
+             [&a, &sw](int port) { io(a, sw.ensure_egress(port), sw); });
+    io_slabs(a, sw.ingress_,
+             [&a, &sw](int port) { io(a, sw.ensure_ingress(port)); });
+    a.u8(sw.refresh_armed_, sw.reclaim_armed_);
+    a.u64(sw.eg_live_hw_, sw.in_live_hw_, sw.reclaim_sweeps_,
+          sw.reclaimed_ports_);
   }
 
   // --- events ---
 
-  static bool save_events(Writer& w, ShardedSimulator& sim) {
-    std::vector<const Event*> evs;
-    for (const auto& sh : sim.shards_) {
-      sh->wheel_.for_each([&evs](const Event* e) {
-        // Closure (environment) events belong to the harness, which
-        // re-seeds its samplers past the checkpoint; everything else is a
-        // registered handler event and serializes.
-        if (e->fn != nullptr) evs.push_back(e);
-      });
-    }
-    std::sort(evs.begin(), evs.end(), [](const Event* a, const Event* b) {
-      if (a->at != b->at) return a->at < b->at;
-      return a->key < b->key;
-    });
-    w.u64(evs.size());
-    for (const Event* e : evs) {
-      std::uint32_t id = 0;
-      if (!handler_id(e->fn, &id)) return false;
-      w.i64(e->at);
-      w.u64(e->key);
-      w.u32(id);
-      w.i32(static_cast<const Device*>(e->obj)->id());
-      switch (id) {
-        case kNicFlowStart:
-          w.u64(static_cast<const Flow*>(e->u.misc.p1)->uid);
-          break;
-        case kNicTxDone:
-        case kSwRefresh:
-        case kSwReclaim:
-          break;
-        case kNicWake:
-          w.i64(e->u.timer.i0);
-          break;
-        case kNicRto:
-          w.u64(static_cast<const Flow*>(e->u.misc.p1)->uid);
-          w.i32(e->u.misc.i1);
-          break;
-        case kNicAck:
-          save_ack(w, e->u.ack.node->ack);
-          break;
-        case kSwTxDone:
-          w.i32(e->u.misc.i1);
-          break;
-        case kNetDeliver:
-          save_packet(w, e->u.pkt.node->pkt);
-          w.i32(e->u.pkt.in_port);
-          break;
-        case kNetSnapshot:
-          save_bits(w, e->u.cold.node->bits);
-          w.i32(e->u.cold.port);
-          break;
-        case kNetPfc:
-        case kNetLinkState:
-          w.i32(e->u.misc.i1);
-          w.i32(e->u.misc.i2);
-          break;
-        default:
-          return false;
-      }
-    }
-    return true;
+  // One row per pooled event handler; the row index is the handler's
+  // stable wire id. Every event in a running simulation dispatches to one
+  // of these (closures — fn == nullptr — are the harness's and are not
+  // serialized). Each row pairs the handler with its payload's io, which
+  // also gets the event's shard (loading allocates arena payloads there).
+  struct Handler {
+    EventFn fn;
+    void (*payload)(A&, Event&, Shard&);
+  };
+
+  static const std::vector<Handler>& handlers() {
+    const auto none = [](A&, Event&, Shard&) {};
+    const auto flow = [](A& a, Event& e, Shard&) {
+      e.u.misc.p1 = io_flow(a, static_cast<Flow*>(e.u.misc.p1));
+    };
+    const auto ports = [](A& a, Event& e, Shard&) {
+      a.u32(e.u.misc.i1, e.u.misc.i2);
+    };
+    static const std::vector<Handler> rows = {
+        {&Nic::ev_flow_start, flow},
+        {&Nic::ev_tx_done, none},
+        {&Nic::ev_wake, [](A& a, Event& e, Shard&) { a.u64(e.u.timer.i0); }},
+        {&Nic::ev_rto,
+         [](A& a, Event& e, Shard&) {
+           e.u.misc.p1 = io_flow(a, static_cast<Flow*>(e.u.misc.p1));
+           a.u32(e.u.misc.i1);
+         }},
+        {&Nic::ev_ack,
+         [](A& a, Event& e, Shard& sh) {
+           if constexpr (A::kLoad) e.put_ack(sh.pack(AckInfo{}));
+           io(a, e.u.ack.node->ack);
+         }},
+        {&Switch::ev_tx_done,
+         [](A& a, Event& e, Shard&) { a.u32(e.u.misc.i1); }},
+        {&Switch::ev_refresh, none},
+        {&Switch::ev_reclaim, none},
+        {&Network::ev_deliver,
+         [](A& a, Event& e, Shard& sh) {
+           if constexpr (A::kLoad) e.put_packet(sh.pack(Packet{}), 0);
+           io(a, e.u.pkt.node->pkt);
+           a.u32(e.u.pkt.in_port);
+         }},
+        {&Network::ev_snapshot,
+         [](A& a, Event& e, Shard& sh) {
+           if constexpr (A::kLoad) e.put_cold(sh.cold_slot());
+           io(a, e.u.cold.node->bits);
+           a.u32(e.u.cold.port);
+         }},
+        {&Network::ev_pfc, ports},
+        {&Network::ev_link_state, ports},
+    };
+    return rows;
   }
 
-  static void load_events(Reader& r, ShardedSimulator& sim, Network& net) {
-    const std::uint64_t n = r.u64();
-    for (std::uint64_t i = 0; i < n && r.ok(); ++i) {
-      const Time at = r.i64();
-      const std::uint64_t key = r.u64();
-      const std::uint32_t id = r.u32();
-      const std::int32_t node = r.i32();
-      if (id >= kHandlerCount || node < 0 || node >= sim.n_nodes_) {
-        r.fail();
-        return;
+  // Pending events, merged across shards in (at, key) order. A loaded
+  // event needs a registered handler, a real node and a time no earlier
+  // than the checkpoint's.
+  static void io_events(A& a, ShardedSimulator& sim, Time at) {
+    const std::vector<Handler>& rows = handlers();
+    std::vector<Event*> evs;
+    for (const auto& sh : sim.shards_) {
+      // The Writer only reads these.
+      sh->wheel_.for_each([&evs](const Event* e) {
+        if (e->fn != nullptr) evs.push_back(const_cast<Event*>(e));
+      });
+    }
+    std::sort(evs.begin(), evs.end(), [](const Event* x, const Event* y) {
+      return std::tie(x->at, x->key) < std::tie(y->at, y->key);
+    });
+    // 24 bytes: at, key, handler id, node.
+    const std::size_t n = a.count(evs.size(), 8, 24);
+    for (std::size_t i = 0; i < n && a.ok(); ++i) {
+      Event scratch;
+      Event* e = A::kLoad ? &scratch : evs[i];
+      std::uint32_t id = 0;
+      while (id < rows.size() && rows[id].fn != e->fn) ++id;
+      std::int32_t node = A::kLoad ? 0 : static_cast<Device*>(e->obj)->id();
+      a.u64(e->at, e->key);
+      a.u32(id, node);
+      if (id >= rows.size() || node < 0 || node >= sim.n_nodes_ ||
+          e->at < at) {
+        a.fail();
+        break;
       }
       Shard& sh = sim.shard_of_node(node);
-      Event* e = sh.pool_.alloc();
-      e->at = at;
-      e->key = key;
-      e->fn = handler_fn(id);
-      e->obj = net.device(node);
-      e->u = {};
-      e->payload = EvPayload::kNone;
-      switch (id) {
-        case kNicFlowStart: {
-          Flow* f = net.flow(r.u64());
-          if (f == nullptr) r.fail();
-          e->u.misc = {f, 0, 0};
-          break;
-        }
-        case kNicTxDone:
-        case kSwRefresh:
-        case kSwReclaim:
-          break;
-        case kNicWake:
-          e->u.timer.i0 = r.i64();
-          break;
-        case kNicRto: {
-          Flow* f = net.flow(r.u64());
-          if (f == nullptr) r.fail();
-          const std::int32_t gen = r.i32();
-          e->u.misc = {f, gen, 0};
-          break;
-        }
-        case kNicAck:
-          e->put_ack(sh.pack(load_ack(r)));
-          break;
-        case kSwTxDone:
-          e->u.misc = {nullptr, r.i32(), 0};
-          break;
-        case kNetDeliver: {
-          PacketNode* pn = sh.pack(load_packet(r, net));
-          e->put_packet(pn, r.i32());
-          break;
-        }
-        case kNetSnapshot: {
-          ColdNode* c = sh.cold_slot();
-          c->bits = load_bits(r);
-          e->put_cold(c, r.i32());
-          break;
-        }
-        case kNetPfc:
-        case kNetLinkState: {
-          const std::int32_t a = r.i32();
-          const std::int32_t b = r.i32();
-          e->u.misc = {nullptr, a, b};
-          break;
-        }
-        default:
-          r.fail();
-          break;
+      if constexpr (A::kLoad) {
+        e = sh.pool_.alloc();
+        *e = scratch;
+        e->fn = rows[id].fn;
+        e->obj = a.net->device(node);
       }
-      if (!r.ok()) {
-        sh.recycle(e);
-        return;
-      }
-      sh.wheel_.push(e);
+      rows[id].payload(a, *e, sh);
+      if (A::kLoad && a.ok()) sh.wheel_.push(e);
+      if (A::kLoad && !a.ok()) sh.recycle(e);
     }
+  }
+
+  // Everything after the header and fingerprint, in image order. Returns
+  // the failing section's diagnostic, or null.
+  static const char* io_state(A& a, ShardedSimulator& sim, Network& net,
+                              Time at) {
+    io_engine(a, sim, net);
+    if (!a.ok()) return "truncated image (engine section)";
+    io_flows(a, sim, net);
+    if (!a.ok()) return "truncated image (flow section)";
+    io(a, net.stats_);
+    if (!a.ok()) return "truncated image (stats section)";
+    for (int node = 0; node < sim.n_nodes_ && a.ok(); ++node) {
+      Device& d = *net.device(node);
+      if (net.topo().is_host(node)) {
+        io(a, static_cast<Nic&>(d));
+      } else {
+        io(a, static_cast<Switch&>(d));
+      }
+    }
+    if (!a.ok()) return "corrupt or truncated image (device section)";
+    io_events(a, sim, at);
+    if (!a.ok()) return "corrupt or truncated image (event section)";
+    std::uint64_t trailer = kTrailer;
+    a.u64(trailer);
+    return trailer == kTrailer ? nullptr : "missing trailer";
   }
 };
 
@@ -1081,79 +794,9 @@ std::vector<std::uint8_t> Snapshot::save(ShardedSimulator& sim, Network& net,
   net.flow_stats();
 
   Writer w;
-  w.u64(Impl::kMagic);
-  w.u32(kVersion);
-  w.i64(at);
-  Impl::save_fingerprint(w, sim, net);
-
-  // Engine counters: per-node event sequence numbers (environment
-  // entities are harness-owned and restart at zero) and the per-node
-  // executed-event attribution that rebuilds per-shard totals.
-  const int n_nodes = sim.n_nodes_;
-  for (int i = 0; i < n_nodes; ++i) w.u32(sim.seq_[static_cast<std::size_t>(i)]);
-  // Setup-space counters (v2): streamed flow starts keep consuming these
-  // after a restore, so they must resume exactly where the checkpoint
-  // left them for the minted keys (and any re-checkpoint image) to stay
-  // byte-identical to an unbroken run.
-  for (int i = 0; i < n_nodes; ++i) {
-    w.u32(sim.setup_seq_[static_cast<std::size_t>(i)]);
-  }
-  for (int i = 0; i < n_nodes; ++i) {
-    w.u64(sim.node_events_[static_cast<std::size_t>(i)]);
-  }
-
-  // Per-node RNG streams (fault draws + ECN marking).
-  for (int i = 0; i < n_nodes; ++i) {
-    std::uint64_t s[4];
-    net.fault_rng_[static_cast<std::size_t>(i)].state(s);
-    for (std::uint64_t x : s) w.u64(x);
-    net.mark_rng_[static_cast<std::size_t>(i)].state(s);
-    for (std::uint64_t x : s) w.u64(x);
-  }
-
-  // Flows, uid-sorted (the map iteration order is hash-layout-dependent).
-  std::vector<const Flow*> flows;
-  for (const auto& slice : net.flows_) {
-    flows.reserve(flows.size() + slice.size());
-    for (const auto& [uid, f] : slice) flows.push_back(f.get());
-  }
-  std::sort(flows.begin(), flows.end(),
-            [](const Flow* a, const Flow* b) { return a->uid < b->uid; });
-  w.u64(flows.size());
-  for (const Flow* f : flows) Impl::save_flow(w, *f);
-
-  // FlowStats (already folded; std::map iterates key-sorted).
-  const FlowStats& st = net.stats_;
-  w.u64(st.records_.size());
-  for (const auto& [uid, rec] : st.records_) {
-    w.u64(uid);
-    Impl::save_key(w, rec.key);
-    w.u64(rec.bytes);
-    w.i64(rec.start);
-    w.i64(rec.end);
-    w.u8(rec.incast);
-  }
-  w.u64(st.pending_.size());
-  for (const auto& [uid, end] : st.pending_) {
-    w.u64(uid);
-    w.i64(end);
-  }
-  w.u64(st.completed_);
-
-  // Devices, node order.
-  for (int node = 0; node < n_nodes; ++node) {
-    Device* d = net.devices_[static_cast<std::size_t>(node)];
-    if (net.topo().is_host(node)) {
-      Impl::save_nic(w, *static_cast<const Nic*>(d));
-    } else {
-      Impl::save_switch(w, *static_cast<const Switch*>(d));
-    }
-  }
-
-  // Pending events, merged across shards in (at, key) order.
-  if (!Impl::save_events(w, sim)) return {};
-
-  w.u64(Impl::kTrailer);
+  Codec<Writer>::io_header(w, at);
+  Codec<Writer>::io_fingerprint(w, sim, net);
+  if (Codec<Writer>::io_state(w, sim, net, at) != nullptr) return {};
   return w.take();
 }
 
@@ -1169,78 +812,12 @@ bool Snapshot::restore(ShardedSimulator& sim, Network& net,
   if (sim.events_processed() != 0 || any_flows) {
     return fail("restore target is not a freshly-constructed pair");
   }
-  Reader r(image.data(), image.size());
-  if (r.u64() != Impl::kMagic) return fail("bad magic: not a BFC snapshot");
-  if (r.u32() != kVersion) return fail("snapshot version mismatch");
-  const Time at = r.i64();
-  if (at < 0) return fail("corrupt header: negative checkpoint time");
-  if (!Impl::check_fingerprint(r, sim, net)) {
-    return fail("configuration fingerprint mismatch "
-                "(topology/scheme/overrides/faults differ)");
-  }
-
-  const int n_nodes = sim.n_nodes_;
-  for (int i = 0; i < n_nodes; ++i) {
-    sim.seq_[static_cast<std::size_t>(i)] = r.u32();
-  }
-  for (int i = 0; i < n_nodes; ++i) {
-    sim.setup_seq_[static_cast<std::size_t>(i)] = r.u32();
-  }
-  for (int i = 0; i < n_nodes; ++i) {
-    sim.node_events_[static_cast<std::size_t>(i)] = r.u64();
-  }
-  for (int i = 0; i < n_nodes; ++i) {
-    std::uint64_t s[4];
-    for (std::uint64_t& x : s) x = r.u64();
-    net.fault_rng_[static_cast<std::size_t>(i)].set_state(s);
-    for (std::uint64_t& x : s) x = r.u64();
-    net.mark_rng_[static_cast<std::size_t>(i)].set_state(s);
-  }
-  if (!r.ok()) return fail("truncated image (engine section)");
-
-  const std::uint64_t n_flows = r.u64();
-  for (std::uint64_t i = 0; i < n_flows && r.ok(); ++i) {
-    auto f = std::make_unique<Flow>();
-    Impl::load_flow(r, f.get());
-    const std::uint64_t uid = f->uid;
-    const int owner = sim.shard_of(static_cast<int>(f->key.src));
-    net.flows_[static_cast<std::size_t>(owner)][uid] = std::move(f);
-  }
-  if (!r.ok()) return fail("truncated image (flow section)");
-
-  FlowStats& st = net.stats_;
-  const std::uint64_t n_recs = r.u64();
-  for (std::uint64_t i = 0; i < n_recs && r.ok(); ++i) {
-    const std::uint64_t uid = r.u64();
-    FlowRecord rec;
-    rec.key = Impl::load_key(r);
-    rec.bytes = r.u64();
-    rec.start = r.i64();
-    rec.end = r.i64();
-    rec.incast = r.u8() != 0;
-    st.records_[uid] = rec;
-  }
-  const std::uint64_t n_pend = r.u64();
-  for (std::uint64_t i = 0; i < n_pend && r.ok(); ++i) {
-    const std::uint64_t uid = r.u64();
-    st.pending_.emplace_back(uid, r.i64());
-  }
-  st.completed_ = r.u64();
-  if (!r.ok()) return fail("truncated image (stats section)");
-
-  for (int node = 0; node < n_nodes && r.ok(); ++node) {
-    Device* d = net.devices_[static_cast<std::size_t>(node)];
-    if (net.topo().is_host(node)) {
-      Impl::load_nic(r, net, static_cast<Nic*>(d));
-    } else {
-      Impl::load_switch(r, net, static_cast<Switch*>(d));
-    }
-  }
-  if (!r.ok()) return fail("corrupt or truncated image (device section)");
-
-  Impl::load_events(r, sim, net);
-  if (!r.ok()) return fail("corrupt or truncated image (event section)");
-  if (r.u64() != Impl::kTrailer) return fail("missing trailer");
+  using Load = Codec<Reader>;
+  Reader r(image, &net);
+  Time at = 0;
+  if (const char* why = Load::io_header(r, at)) return fail(why);
+  if (const char* why = Load::io_fingerprint(r, sim, net)) return fail(why);
+  if (const char* why = Load::io_state(r, sim, net, at)) return fail(why);
 
   // Clocks and per-shard totals: every shard resumes at the checkpoint
   // time; events_run is the sum of the per-node attribution over owned
@@ -1252,7 +829,7 @@ bool Snapshot::restore(ShardedSimulator& sim, Network& net,
     sh.events_run_ = 0;
     sh.events_stolen_ = 0;
   }
-  for (int node = 0; node < n_nodes; ++node) {
+  for (int node = 0; node < sim.n_nodes_; ++node) {
     Shard& sh = sim.shard_of_node(node);
     sh.events_run_ += sim.node_events_[static_cast<std::size_t>(node)];
   }
@@ -1260,11 +837,9 @@ bool Snapshot::restore(ShardedSimulator& sim, Network& net,
 }
 
 Time Snapshot::saved_time(const std::vector<std::uint8_t>& image) {
-  Reader r(image.data(), image.size());
-  if (r.u64() != Impl::kMagic) return -1;
-  if (r.u32() != kVersion) return -1;
-  const Time at = r.i64();
-  return r.ok() ? at : -1;
+  Reader r(image, nullptr);
+  Time at = -1;
+  return Codec<Reader>::io_header(r, at) == nullptr ? at : -1;
 }
 
 }  // namespace bfc

@@ -77,10 +77,12 @@ class Snapshot {
   static Time saved_time(const std::vector<std::uint8_t>& image);
 
  private:
-  // All codec helpers live here (snapshot.cpp). A nested class shares the
-  // enclosing class's access, so Impl inherits every `friend class
-  // Snapshot` grant across the device headers.
-  struct Impl;
+  // The codec, one io(A&, T&) per piece of state for A = the image Writer
+  // or Reader (snapshot.cpp). A nested class shares the enclosing class's
+  // access, so Codec inherits every `friend class Snapshot` grant across
+  // the device headers.
+  template <class A>
+  struct Codec;
 };
 
 }  // namespace bfc

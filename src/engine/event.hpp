@@ -1,7 +1,6 @@
 // Pooled, allocation-free simulation events — exactly one cache line each.
 //
-// The legacy sim/ loop heap-allocates a std::function closure per event.
-// The first engine generation fixed the allocations but inlined a full
+// The first engine generation pooled its events but inlined a full
 // Packet, an AckInfo, a shared_ptr<const BloomBits>, and a std::function
 // into every node (208 bytes), so at 1024 hosts the per-shard scheduler
 // was cache-bound. An Event is now a 64-byte node: timestamp, ordering

@@ -126,8 +126,8 @@ class PacketFifo {
   // Checkpoint plumbing (core/snapshot.hpp): walks the queued packets in
   // FIFO order without disturbing the queue.
   template <class Fn>
-  void for_each(Fn&& fn) const {
-    for (const PacketNode* n = head_; n != nullptr; n = n->next) fn(n->pkt);
+  void for_each(Fn&& fn) {
+    for (PacketNode* n = head_; n != nullptr; n = n->next) fn(n->pkt);
   }
 
   // Detaches the head node without copying or releasing it: the caller

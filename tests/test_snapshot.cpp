@@ -11,8 +11,16 @@
 //     the fault plane exactly (pending transition events ride the image).
 //   * Versioned rejection — corrupted magic/version headers and
 //     mismatched configurations are refused, never half-restored.
+//   * Golden v2 images — the image bytes of five fixed runs match digests
+//     recorded from the v2 codec, and restore then re-save reproduces
+//     them, so a codec rewrite cannot drift the wire format without a
+//     version bump.
+//   * Reject, never crash — seeded byte mutants of a small image are either
+//     refused with a diagnostic or restore and re-save cleanly.
 #include "core/snapshot.hpp"
 
+#include <algorithm>
+#include <cinttypes>
 #include <string>
 
 #include "harness/experiment.hpp"
@@ -197,6 +205,127 @@ void check_rejection(const TopoGraph& topo) {
   }
 }
 
+std::uint64_t fnv1a64(const std::vector<std::uint8_t>& bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const std::uint8_t b : bytes) {
+    h ^= b;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+// Digests of v2 images (FNV-1a-64, plus the length) of the base config
+// paused at 100us under five schemes. Together the rows cover link-state
+// events (the storm), DCQCN CC fields, the pFabric SRPT map, the Ideal-FQ
+// flow_q map and the NIC ack queue (acks_in_data). Any wire-format change
+// must bump Snapshot::kVersion and re-record this table.
+void check_golden_images(const TopoGraph& topo) {
+  struct Golden {
+    Scheme scheme;
+    bool storm;
+    bool acks_in_data;
+    std::size_t bytes;
+    std::uint64_t fnv;
+  };
+  const Golden rows[] = {
+      {Scheme::kBfc, true, false, 1876313, 0x100c349048453d3fULL},
+      {Scheme::kDcqcnWin, false, false, 1780151, 0x088438cb16217960ULL},
+      {Scheme::kPfabric, false, false, 1141358, 0xa8ec48ae7789b044ULL},
+      {Scheme::kIdealFq, false, false, 1871254, 0x4f68155495072fcaULL},
+      {Scheme::kTimely, false, true, 2008240, 0x8474004915c19508ULL},
+  };
+  for (const Golden& g : rows) {
+    ExperimentConfig cfg = base_config(1, g.storm, topo);
+    cfg.scheme = g.scheme;
+    if (g.acks_in_data) cfg.overrides.acks_in_data = true;
+    ExperimentRun run(topo, cfg);
+    run.run_to(microseconds(100));
+    const WarmCheckpoint cp = run.checkpoint();
+    const std::uint64_t fnv = fnv1a64(cp.image);
+    if (cp.image.size() != g.bytes || fnv != g.fnv) {
+      std::fprintf(stderr, "golden image mismatch (scheme %d): %zu bytes, "
+                   "fnv1a64 %016" PRIx64 "\n", static_cast<int>(g.scheme),
+                   cp.image.size(), fnv);
+    }
+    CHECK(cp.image.size() == g.bytes);
+    CHECK(fnv == g.fnv);
+    // The Reader side of the same structures: restoring (onto 2 shards)
+    // and re-saving reproduces the golden bytes.
+    cfg.shards = 2;
+    std::string err;
+    std::unique_ptr<ExperimentRun> thawed =
+        ExperimentRun::restore(topo, cfg, cp, &err);
+    CHECK(thawed != nullptr);
+    CHECK(thawed->checkpoint().image == cp.image);
+  }
+}
+
+std::uint64_t splitmix64(std::uint64_t& s) {
+  std::uint64_t z = (s += 0x9e3779b97f4a7c15ULL);
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  return z ^ (z >> 31);
+}
+
+// Seeded mutants of a small T1 image: bit flips, 0xFF u32 words, large
+// u64 counts and truncations. Each must be refused with a non-empty
+// diagnostic, or restore and then checkpoint again without crashing (the
+// ASan leg turns any out-of-bounds read or runaway allocation into a
+// failure).
+void check_mutants() {
+  const TopoGraph topo = TopoGraph::fat_tree(FatTreeConfig::t1());
+  ExperimentConfig cfg;
+  cfg.scheme = Scheme::kBfc;
+  cfg.traffic.dist = &SizeDist::by_name("google");
+  cfg.traffic.load = 0.5;
+  cfg.traffic.incast_load = 0.05;
+  cfg.traffic.stop = microseconds(2);
+  cfg.traffic.seed = 42;
+  cfg.shards = 1;
+  ExperimentRun run(topo, cfg);
+  run.run_to(microseconds(1));
+  const WarmCheckpoint cp = run.checkpoint();
+  CHECK(!cp.image.empty());
+
+  std::uint64_t seed = 0x6d757461746f72ULL;
+  int refused = 0;
+  for (int i = 0; i < 1000; ++i) {
+    WarmCheckpoint bad = cp;
+    std::vector<std::uint8_t>& img = bad.image;
+    const std::size_t at = splitmix64(seed) % (img.size() - 8);
+    switch (i % 4) {
+      case 0:
+        img[at] ^= static_cast<std::uint8_t>(1u << (splitmix64(seed) % 8));
+        break;
+      case 1:
+        std::fill_n(img.begin() + static_cast<std::ptrdiff_t>(at), 4, 0xFF);
+        break;
+      case 2: {
+        const std::uint64_t big = std::uint64_t{1} << (31 + splitmix64(seed) % 32);
+        for (int b = 0; b < 8; ++b) {
+          img[at + static_cast<std::size_t>(b)] =
+              static_cast<std::uint8_t>(big >> (8 * b));
+        }
+        break;
+      }
+      default:
+        img.resize(at);
+        break;
+    }
+    std::string err;
+    std::unique_ptr<ExperimentRun> thawed =
+        ExperimentRun::restore(topo, cfg, bad, &err);
+    if (thawed == nullptr) {
+      CHECK(!err.empty());
+      ++refused;
+      continue;
+    }
+    (void)thawed->checkpoint();
+  }
+  // Every truncation is refused at least (the trailer is gone).
+  CHECK(refused >= 250);
+}
+
 // The 4096-host tier under the PR 7 memory diet: a checkpoint taken
 // mid-traffic — flows mid-flight with packed route ids resolved, sender
 // FIFOs threaded through Flow::elig_next, streamed generator replicas
@@ -279,6 +408,8 @@ int main() {
   check_continuation(topo, /*storm=*/true);
   check_layout_independence(topo);
   check_rejection(topo);
+  check_golden_images(topo);
+  check_mutants();
   check_sweep_server(topo);
   check_t3_4096_scale_snapshot();
   return 0;

@@ -48,6 +48,16 @@ inline ExperimentConfig standard_config(Scheme scheme,
   return cfg;
 }
 
+// Checks one of the figure's paper claims: prints a PASS/FAIL line with
+// the measured `detail` and returns `ok`, so main() can exit non-zero
+// (and fail the smoke run) when the reproduction stops holding.
+inline bool claim(const std::string& name, bool ok,
+                  const std::string& detail) {
+  std::printf("claim %s: %s (%s)\n", name.c_str(), ok ? "PASS" : "FAIL",
+              detail.c_str());
+  return ok;
+}
+
 // If BFC_CSV_DIR is set, writes the slowdown series of a figure there as
 // `<name>.csv` (long format, see harness/report.hpp) for plotting.
 inline void maybe_write_csv(const char* name,

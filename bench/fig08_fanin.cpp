@@ -94,14 +94,30 @@ int main() {
   // buffers, per-flow FQ) is the normalizer per fan-in.
   std::printf("%-8s %22s %22s %12s\n", "fan-in", "BFC util / p99buf(MB)",
               "DCQCN+Win util / p99buf", "ideal(raw)");
+  struct Point {
+    int fanin;
+    double bfc, dcqcn_win;
+  };
+  std::vector<Point> high;  // fan-in >= 200, where the paper's gap opens
   for (int fanin : {10, 50, 100, 200, 400, 800}) {
     const FaninResult ideal = run_one(Scheme::kIdealFq, fanin, stop);
     const FaninResult b = run_one(Scheme::kBfc, fanin, stop);
     const FaninResult d = run_one(Scheme::kDcqcnWin, fanin, stop);
     const double norm = ideal.utilization > 0 ? ideal.utilization : 1;
-    std::printf("%-8d %10.3f / %8.2f %12.3f / %8.2f %12.3f\n", fanin,
-                b.utilization / norm, b.p99_buffer_mb,
-                d.utilization / norm, d.p99_buffer_mb, ideal.utilization);
+    const double bu = b.utilization / norm;
+    const double du = d.utilization / norm;
+    std::printf("%-8d %10.3f / %8.2f %12.3f / %8.2f %12.3f\n", fanin, bu,
+                b.p99_buffer_mb, du, d.p99_buffer_mb, ideal.utilization);
+    if (fanin >= 200) high.push_back({fanin, bu, du});
   }
-  return 0;
+  bool ok = true;
+  for (const Point& p : high) {
+    char detail[64];
+    std::snprintf(detail, sizeof detail, "BFC %.3f vs DCQCN+Win %.3f",
+                  p.bfc, p.dcqcn_win);
+    ok &= bench::claim("fan-in " + std::to_string(p.fanin) +
+                           " BFC utilization >= DCQCN+Win",
+                       p.bfc >= p.dcqcn_win, detail);
+  }
+  return ok ? 0 : 1;
 }

@@ -11,10 +11,6 @@
 
 namespace bfc {
 
-namespace detail {
-thread_local StealBatch* tl_batch = nullptr;
-}  // namespace detail
-
 namespace {
 
 constexpr Time kTimeInf = std::numeric_limits<Time>::max();
@@ -727,8 +723,8 @@ void ShardedSimulator::split_window(Shard& sh, Time w0, Time h, Time stop) {
   if (pinned || sh.scratch_.size() < steal_threshold_) {
     // Closure in the window (may read the whole shard) or not enough work
     // to pay for the split: put everything back — pushes at or below the
-    // pop cursor land in the live batch heap, preserving order — and run
-    // the full window serially.
+    // pop cursor land in the wheel's tick heap, preserving order — and
+    // run the full window serially.
     for (Event* e : sh.scratch_) sh.wheel_.push(e);
     sh.scratch_.clear();
     sh.run_window(h, stop);

@@ -126,8 +126,10 @@ struct StealBatch {
 namespace detail {
 // Non-null exactly while this thread executes a stolen batch; Shard's
 // allocation/post/clock entry points consult it to redirect into the
-// batch's private state.
-extern thread_local StealBatch* tl_batch;
+// batch's private state. Defined inline with a constant initializer so
+// every access is a plain TLS load (an `extern` declaration makes each
+// one call a TLS init function first).
+inline thread_local StealBatch* tl_batch = nullptr;
 }  // namespace detail
 
 // One worker's event loop: a hierarchical timing wheel of cache-line

@@ -1,11 +1,11 @@
-// Two-level hierarchical timing wheel: the per-shard event scheduler.
+// Hierarchical timing wheel: the per-shard event scheduler.
 //
 // The binary heap it replaces pays an O(log n) sift over a cache-cold
 // working set on every push/pop; with tens of thousands of pending events
 // per shard (1024-host runs) the scheduler itself was the bottleneck.
 // Almost all events land within a bounded horizon of the shard clock —
 // max link propagation + serialization + the BFC refresh period — so a
-// calendar layout makes both operations O(1) amortized:
+// calendar layout makes both operations O(1):
 //
 //   near wheel   kSlots power-of-two buckets, kSlotNs wide each
 //                (geometry below: 4096 x 512 ns = ~2.1 ms horizon).
@@ -14,21 +14,33 @@
 //   far heap     rare long-delay events (ms-scale RTOs, far pre-seeded
 //                flow starts) beyond the horizon; a plain binary heap,
 //                migrated bucket-ward as the wheel turns past them.
-//   batch        the bucket currently draining, heapified once into a
-//                contiguous (at, key) min-heap of 24-byte items — pops
-//                sift a few dozen hot entries instead of the whole
-//                pending set.
+//   inner wheel  the bucket currently draining, scattered once into
+//                kSlotNs one-nanosecond sub-buckets (intrusive chains
+//                plus a 512-bit occupancy bitmap). Pushes into the
+//                draining slot are again two pointer writes + a bit.
+//   tick heap    the one nanosecond being drained: its sub-chain
+//                (usually 1-3 events; a lone event skips it) is
+//                heapified by key into a small (at, key) min-heap, which
+//                also takes every push at or before that nanosecond
+//                (zero-delay posts, re-pushed stragglers).
+//
+// A draining slot is dense — about 825 events at load on the T1 BFC
+// incast, 840 under DCQCN and 4,780 on the three-tier 4096-host run — so
+// one heap over the whole slot would sift 10-12 levels per pop; only
+// same-nanosecond ties are heap-ordered.
 //
 // Determinism: pop order is *exactly* ascending (timestamp, key) — the
 // same total order as the reference heap — for any interleaving of
-// pushes and pops with at >= the last popped timestamp. Buckets partition
-// events by timestamp range (slot s holds at in [s*kSlotNs, (s+1)*kSlotNs)
-// and every bucket not yet drained is strictly later than the batch), so
-// draining buckets in slot order with a per-bucket (at, key) heap yields
-// the global order; same-timestamp ties resolve by key inside the batch
-// heap regardless of arrival order. tests/test_timing_wheel.cpp checks
-// this differentially against the reference heap, ties and far-horizon
-// overflow included.
+// pushes and pops with at >= the last popped timestamp, plus re-pushes of
+// events already popped (split_window puts a window back). Every pending
+// event sits in exactly one tier, and the tiers partition time: the tick
+// heap holds at <= tick_at_, the inner wheel (tick_at_, end of slot
+// cur_), the buckets later slots, the far heap past the horizon. Draining
+// tier by tier, sub-bucket by sub-bucket, with same-timestamp ties
+// resolved by key in the tick heap regardless of arrival order, yields
+// the global order. tests/test_timing_wheel.cpp checks this
+// differentially against the reference heap, dense slots, ties and
+// far-horizon overflow included.
 //
 // min_time() is exact (not a bound): the engine's conservative-lookahead
 // window start is the cross-shard minimum of it, and an overestimate
@@ -36,6 +48,7 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <limits>
 #include <vector>
@@ -47,14 +60,15 @@ namespace bfc {
 
 class TimingWheel {
  public:
-  // Geometry. kSlotBits trades batch size against wheel memory: 512 ns
-  // buckets hold a few dozen events each on a busy 1024-host shard, and
-  // 4096 of them cover not just every intra-fabric delay (1 us links,
-  // ~120 ns MTU serialization at 100 Gbps, the 5 us BFC refresh) but the
-  // lossless family's ~1 ms RoCE-style RTO re-arm — which fires on every
-  // ack, so pushing it through the far heap would re-create the O(log n)
-  // sift the wheel exists to remove. Only multi-ms timers and far-future
-  // pre-seeded arrivals overflow.
+  // Geometry. 4096 slots of 512 ns cover not just every intra-fabric
+  // delay (1 us links, ~120 ns MTU serialization at 100 Gbps, the 5 us
+  // BFC refresh) but the lossless family's ~1 ms RoCE-style RTO re-arm —
+  // which fires on every ack, so pushing it through the far heap would
+  // re-create the O(log n) sift the wheel exists to remove. Only multi-ms
+  // timers and far-future pre-seeded arrivals overflow. The slot width is
+  // also the inner wheel's size: 512 one-nanosecond sub-buckets, 4 KB of
+  // heads and an 8-word bitmap, against the hundreds of events a busy
+  // slot holds.
   static constexpr int kSlotBits = 9;               // 512 ns per slot
   static constexpr int kWheelBits = 12;             // 4096 slots -> ~2.1 ms
   static constexpr int kSlots = 1 << kWheelBits;
@@ -65,7 +79,10 @@ class TimingWheel {
   TimingWheel()
       : bucket_(kSlots, nullptr),
         bucket_min_(kSlots, kNever),
-        occ_(kSlots / 64, 0) {}
+        occ_(kSlots / 64, 0) {
+    inner_.fill(nullptr);
+    inner_occ_.fill(0);
+  }
 
   bool empty() const { return size_ == 0; }
   std::size_t size() const { return size_; }
@@ -76,18 +93,28 @@ class TimingWheel {
   // Warms the cache line of the event most likely to pop next while the
   // caller is still dispatching the current one.
   void prefetch_next() const {
-    if (!batch_.empty()) __builtin_prefetch(batch_.front().e);
+    if (!tick_.empty()) {
+      __builtin_prefetch(tick_.front().e);
+      return;
+    }
+    const int i = next_tick();
+    if (i >= 0) __builtin_prefetch(inner_[static_cast<std::size_t>(i)]);
   }
 
   // Schedules `e` by (e->at, e->key). Requires e->at >= the timestamp of
-  // the last event popped (the engine clamps to the shard clock).
+  // the last event popped (the engine clamps to the shard clock), or `e`
+  // to be an already-popped event being put back.
   void push(Event* e) {
     ++size_;
-    const std::int64_t s = slot_of(e->at);
-    if (s <= cur_) {
-      // Current (or straggler) slot: straight into the live batch heap.
-      batch_.push_back({e->at, e->key, e});
-      std::push_heap(batch_.begin(), batch_.end(), Later{});
+    if (e->at <= tick_at_) {
+      // The nanosecond being drained (or a straggler before it).
+      tick_.push_back({e->at, e->key, e});
+      std::push_heap(tick_.begin(), tick_.end(), Later{});
+      return;
+    }
+    const std::int64_t s = slot_of(e->at);  // >= cur_: tick_at_ >= base-1
+    if (s == cur_) {
+      link_tick(e);
       return;
     }
     if (s < cur_ + kSlots) {
@@ -106,10 +133,12 @@ class TimingWheel {
     std::push_heap(far_.begin(), far_.end(), Later{});
   }
 
-  // Exact earliest pending timestamp (kNever when empty). The batch is
-  // never later than any bucket, buckets never later than the far heap.
+  // Exact earliest pending timestamp (kNever when empty). Each tier is
+  // strictly earlier than the next: tick heap, inner wheel, buckets, far.
   Time min_time() const {
-    if (!batch_.empty()) return batch_.front().at;
+    if (!tick_.empty()) return tick_.front().at;
+    const int i = next_tick();
+    if (i >= 0) return (cur_ << kSlotBits) + i;
     const std::int64_t s = next_occupied_slot();
     if (s >= 0) return bucket_min_[static_cast<std::size_t>(s & kMask)];
     if (!far_.empty()) return far_.front().at;
@@ -121,13 +150,35 @@ class TimingWheel {
   // non-decreasing limits drain in exact (at, key) order.
   Event* pop_until(Time limit) {
     for (;;) {
-      if (!batch_.empty()) {
-        if (batch_.front().at >= limit) return nullptr;
-        std::pop_heap(batch_.begin(), batch_.end(), Later{});
-        Event* e = batch_.back().e;
-        batch_.pop_back();
+      if (!tick_.empty()) {
+        if (tick_.front().at >= limit) return nullptr;
+        std::pop_heap(tick_.begin(), tick_.end(), Later{});
+        Event* e = tick_.back().e;
+        tick_.pop_back();
         --size_;
         return e;
+      }
+      const int i = next_tick();
+      if (i >= 0) {
+        const Time t = (cur_ << kSlotBits) + i;
+        if (t >= limit) return nullptr;
+        const auto u = static_cast<std::size_t>(i);
+        inner_occ_[u >> 6] &= ~(std::uint64_t{1} << (u & 63));
+        Event* e = inner_[u];
+        inner_[u] = nullptr;
+        tick_at_ = t;
+        if (e->next == nullptr) {  // a lone event needs no ordering
+          --size_;
+          return e;
+        }
+        do {
+          Event* nxt = e->next;
+          e->next = nullptr;
+          tick_.push_back({e->at, e->key, e});
+          e = nxt;
+        } while (e != nullptr);
+        std::make_heap(tick_.begin(), tick_.end(), Later{});
+        continue;
       }
       if (size_ == 0) return nullptr;
       const std::int64_t s = next_occupied_slot();
@@ -138,20 +189,24 @@ class TimingWheel {
         load_slot(s);
         continue;
       }
-      // Only far events remain: turn the wheel so the earliest becomes
-      // near, then migration refills a bucket and the loop retries.
+      // Only far events remain: turn the wheel onto the earliest one's
+      // slot; migration refills the inner wheel and the loop retries.
       if (far_.front().at >= limit) return nullptr;
-      cur_ = slot_of(far_.front().at) - 1;
+      enter_slot(slot_of(far_.front().at));
       migrate_far();
     }
   }
 
   // Checkpoint plumbing (core/snapshot.hpp): visits every pending event —
-  // live batch, bucket chains, far heap — without disturbing the wheel.
-  // Visit order is unspecified; the snapshot codec sorts by (at, key).
+  // tick heap, inner chains, bucket chains, far heap — without disturbing
+  // the wheel. Visit order is unspecified; the snapshot codec sorts by
+  // (at, key).
   template <class Fn>
   void for_each(Fn&& fn) const {
-    for (const Item& it : batch_) fn(it.e);
+    for (const Item& it : tick_) fn(it.e);
+    for (Event* chain : inner_) {
+      for (Event* e = chain; e != nullptr; e = e->next) fn(e);
+    }
     for (Event* chain : bucket_) {
       for (Event* e = chain; e != nullptr; e = e->next) fn(e);
     }
@@ -160,6 +215,7 @@ class TimingWheel {
 
  private:
   static constexpr std::int64_t kMask = kSlots - 1;
+  static constexpr std::size_t kTickWords = kSlotNs / 64;
 
   struct Item {
     Time at;
@@ -199,10 +255,38 @@ class TimingWheel {
     return -1;
   }
 
-  // Advances the drain cursor to absolute slot `s`, heapifies its chain
-  // into the batch, and pulls far events that are now inside the horizon.
-  void load_slot(std::int64_t s) {
+  // Offset in slot cur_ of the earliest non-empty sub-bucket, or -1.
+  // Sub-buckets at or before tick_at_ are always empty (those pushes join
+  // the tick heap), so the scan starts at tick_at_'s word.
+  int next_tick() const {
+    const Time from = tick_at_ + 1 - (cur_ << kSlotBits);
+    for (auto w = static_cast<std::size_t>(from >> 6); w < kTickWords; ++w) {
+      if (inner_occ_[w] != 0) {
+        return static_cast<int>(w << 6) + __builtin_ctzll(inner_occ_[w]);
+      }
+    }
+    return -1;
+  }
+
+  // Chains `e` (in slot cur_, after tick_at_) into its sub-bucket.
+  void link_tick(Event* e) {
+    const auto u = static_cast<std::size_t>(e->at & (kSlotNs - 1));
+    inner_occ_[u >> 6] |= std::uint64_t{1} << (u & 63);
+    e->next = inner_[u];
+    inner_[u] = e;
+  }
+
+  // Makes absolute slot `s` the draining slot with no nanosecond of it
+  // drained yet. The tick heap and inner wheel must be empty.
+  void enter_slot(std::int64_t s) {
     cur_ = s;
+    tick_at_ = (s << kSlotBits) - 1;
+  }
+
+  // Advances the drain cursor to absolute slot `s`, scatters its chain
+  // into the inner wheel, and pulls far events now inside the horizon.
+  void load_slot(std::int64_t s) {
+    enter_slot(s);
     const auto b = static_cast<std::size_t>(s & kMask);
     occ_[b >> 6] &= ~(std::uint64_t{1} << (b & 63));
     bucket_min_[b] = kNever;
@@ -210,11 +294,9 @@ class TimingWheel {
     bucket_[b] = nullptr;
     while (e != nullptr) {
       Event* nxt = e->next;
-      e->next = nullptr;
-      batch_.push_back({e->at, e->key, e});
+      link_tick(e);
       e = nxt;
     }
-    std::make_heap(batch_.begin(), batch_.end(), Later{});
     migrate_far();
   }
 
@@ -228,12 +310,15 @@ class TimingWheel {
     }
   }
 
-  std::int64_t cur_ = 0;            // absolute slot the batch drains
-  std::vector<Item> batch_;         // (at, key) min-heap of slot cur_
-  std::vector<Event*> bucket_;      // intrusive chains, slot -> events
-  std::vector<Time> bucket_min_;    // exact earliest `at` per bucket
-  std::vector<std::uint64_t> occ_;  // occupancy bitmap over buckets
-  std::vector<Item> far_;           // (at, key) min-heap past the horizon
+  std::int64_t cur_ = 0;             // absolute slot being drained
+  Time tick_at_ = -1;                // last nanosecond moved to tick_
+  std::vector<Item> tick_;           // (at, key) min-heap, at <= tick_at_
+  std::array<Event*, kSlotNs> inner_;               // slot cur_ by ns
+  std::array<std::uint64_t, kTickWords> inner_occ_;  // non-empty inner_
+  std::vector<Event*> bucket_;       // intrusive chains, slot -> events
+  std::vector<Time> bucket_min_;     // exact earliest `at` per bucket
+  std::vector<std::uint64_t> occ_;   // occupancy bitmap over buckets
+  std::vector<Item> far_;            // (at, key) min-heap past the horizon
   std::size_t size_ = 0;
 };
 

@@ -3,10 +3,14 @@
 // order for any workload the engine can produce — bulk pre-seeding,
 // interleaved push/pop with pushes at the current clock (same-timestamp
 // ties included), windowed pops with limits, and far-horizon overflow
-// (ms-scale RTO-like delays that cross the near wheel's range).
+// (ms-scale RTO-like delays that cross the near wheel's range), plus the
+// dense-slot regime of a busy shard (hundreds to thousands of events per
+// 512 ns slot, re-pushes into the draining slot) and the for_each walk
+// the checkpoint codec depends on.
 #include "engine/timing_wheel.hpp"
 
 #include <algorithm>
+#include <set>
 #include <vector>
 
 #include "sim/rng.hpp"
@@ -185,11 +189,163 @@ void test_far_only_and_limits() {
   CHECK(wheel.pop_until(TimingWheel::kNever) == nullptr);
 }
 
+
+// Thousands of events inside two adjacent slots, drained under limits
+// that land mid-slot while pushes arrive at `now`, `now + 1`, later in
+// the draining slot, in the next slot and past the horizon. Every few
+// windows a drained prefix is put back, as split_window does when it
+// declines to split. min_time() must match the reference after every pop.
+void test_dense_slots() {
+  EventPool pool;
+  TimingWheel wheel;
+  RefHeap ref;
+  Rng rng(23);
+  std::vector<std::uint32_t> seq(64, 0);
+  const Time base = 7 * TimingWheel::kSlotNs + 100;  // straddles a boundary
+  int pushes = 0, pops = 0;
+  auto push_at = [&](Time at) {
+    Event* e = make_event(pool, at, next_key(rng, seq));
+    wheel.push(e);
+    ref.push(e);
+    ++pushes;
+  };
+  for (int i = 0; i < 4000; ++i) {
+    push_at(base + static_cast<Time>(
+                       rng.uniform_int(0, 2 * TimingWheel::kSlotNs - 1)));
+  }
+  for (int i = 0; i < 300; ++i) {
+    push_at(base + static_cast<Time>(rng.uniform_int(0, 7)));  // heavy ties
+  }
+  Time now = 0;
+  std::vector<Event*> window;
+  for (int round = 0; round < 3000; ++round) {
+    CHECK(wheel.min_time() == ref.min_time());
+    const Time lo = ref.min_time();
+    if (lo == TimingWheel::kNever) break;
+    const Time limit = lo + static_cast<Time>(rng.uniform_int(0, 40));
+    const bool put_back = round % 7 == 3;
+    const Time window_start = now;
+    window.clear();
+    for (;;) {
+      Event* w = wheel.pop_until(limit);
+      Event* r = ref.pop_until(limit);
+      CHECK(w == r);
+      if (w == nullptr) break;
+      CHECK(w->at >= now);
+      now = w->at;
+      ++pops;
+      CHECK(wheel.min_time() == ref.min_time());
+      if (put_back) {
+        window.push_back(w);
+        continue;
+      }
+      if (pushes >= 40000) continue;
+      const Time in_slot =
+          TimingWheel::kSlotNs - 1 - (now & (TimingWheel::kSlotNs - 1));
+      switch (rng.uniform_int(0, 9)) {
+        case 0: push_at(now); break;
+        case 1: push_at(now + 1); break;
+        case 2: case 3: case 4:
+          push_at(now + static_cast<Time>(rng.uniform_int(0, in_slot)));
+          break;
+        case 5: case 6:
+          push_at(now + in_slot + 1 +
+                  static_cast<Time>(
+                      rng.uniform_int(0, TimingWheel::kSlotNs - 1)));
+          break;
+        case 7:
+          push_at(now + static_cast<Time>(
+                            rng.uniform_int(1, 2 * TimingWheel::kHorizonNs)));
+          break;
+        default: break;
+      }
+    }
+    if (put_back) now = window_start;
+    for (Event* e : window) {
+      wheel.push(e);
+      ref.push(e);
+      --pops;
+    }
+  }
+  for (;;) {
+    CHECK(wheel.min_time() == ref.min_time());
+    Event* w = wheel.pop_until(TimingWheel::kNever);
+    Event* r = ref.pop_until(TimingWheel::kNever);
+    CHECK(w == r);
+    if (w == nullptr) break;
+    ++pops;
+  }
+  CHECK(pops == pushes);
+  CHECK(wheel.empty());
+}
+
+// for_each must visit every pending event exactly once wherever it sits:
+// tick heap (same-nanosecond ties mid-drain, a re-pushed straggler),
+// inner chains of the draining slot, later buckets and the far heap.
+void test_for_each_after_partial_drains() {
+  EventPool pool;
+  TimingWheel wheel;
+  RefHeap ref;
+  Rng rng(31);
+  std::vector<std::uint32_t> seq(64, 0);
+  auto push_at = [&](Time at) {
+    Event* e = make_event(pool, at, next_key(rng, seq));
+    wheel.push(e);
+    ref.push(e);
+  };
+  auto check_visit = [&] {
+    std::multiset<const Event*> seen;
+    wheel.for_each([&seen](const Event* e) { seen.insert(e); });
+    CHECK(seen.size() == wheel.size());
+    CHECK(seen.size() == ref.h.size());
+    for (const RItem& it : ref.h) CHECK(seen.count(it.e) == 1);
+  };
+  const Time t0 = 3 * TimingWheel::kSlotNs + 17;
+  for (int i = 0; i < 6; ++i) push_at(t0);  // one tick, six keys
+  for (int i = 0; i < 200; ++i) {
+    push_at(t0 + static_cast<Time>(rng.uniform_int(1, 3000)));
+  }
+  for (int i = 0; i < 20; ++i) {
+    push_at(t0 + static_cast<Time>(rng.uniform_int(
+                     TimingWheel::kHorizonNs, 3 * TimingWheel::kHorizonNs)));
+  }
+  check_visit();
+  // Pop two of the six ties: four stay in the tick heap.
+  Event* popped = nullptr;
+  for (int i = 0; i < 2; ++i) {
+    popped = wheel.pop_until(TimingWheel::kNever);
+    CHECK(popped == ref.pop_until(TimingWheel::kNever));
+    CHECK(popped->at == t0);
+  }
+  check_visit();
+  // Put a popped event back beside them, and add a zero-delay post plus
+  // pushes into the draining slot's later ticks.
+  wheel.push(popped);
+  ref.push(popped);
+  push_at(t0);
+  push_at(t0 + 1);
+  push_at(t0 + 200);
+  check_visit();
+  // Drain in ragged windows, checking the walk after each.
+  for (int round = 0; round < 40 && !wheel.empty(); ++round) {
+    const Time limit = ref.min_time() + static_cast<Time>(
+                                            rng.uniform_int(0, 700));
+    for (;;) {
+      Event* w = wheel.pop_until(limit);
+      CHECK(w == ref.pop_until(limit));
+      if (w == nullptr) break;
+    }
+    check_visit();
+  }
+}
+
 }  // namespace
 
 int main() {
   test_bulk_drain();
   test_interleaved_windows();
   test_far_only_and_limits();
+  test_dense_slots();
+  test_for_each_after_partial_drains();
   return 0;
 }

@@ -57,6 +57,32 @@ inline long read_peak_rss_kb() {
   return 0;
 }
 
+// The machine a bench ran on, as a JSON object: the CPU model from
+// /proc/cpuinfo ("unknown" elsewhere) and `nproc`, the CPUs the process
+// may use (pass ShardedSimulator::usable_cores(), which also sets the
+// helper-executor count). Quotes, backslashes and braces are dropped
+// from the model so the minimal parser below stays sound.
+inline std::string host_stamp_json(int nproc) {
+  std::ifstream in("/proc/cpuinfo");
+  std::string line, model = "unknown";
+  while (std::getline(in, line)) {
+    if (line.rfind("model name", 0) != 0) continue;
+    const std::size_t colon = line.find(':');
+    if (colon == std::string::npos) continue;
+    model.clear();
+    for (std::size_t i = line.find_first_not_of(" \t", colon + 1);
+         i < line.size(); ++i) {
+      const char c = line[i];
+      if (c != '"' && c != '\\' && c != '{' && c != '}') model += c;
+    }
+    break;
+  }
+  std::ostringstream ss;
+  ss << "{\"cpu_model\": \"" << model
+     << "\", \"nproc\": " << nproc << "}";
+  return ss.str();
+}
+
 inline std::string slurp(const std::string& path) {
   std::ifstream in(path);
   if (!in) return {};

@@ -3,9 +3,14 @@
 // per-shard event counts (partition balance), plus a determinism check:
 // every shard count must report byte-identical flow stats at the same
 // seed. Emits BENCH_engine.json (see bench_json.hpp) so future PRs can
-// diff engine throughput against the recorded baseline.
+// diff engine throughput against the recorded baseline; the section is
+// stamped with the host (CPU model, core count) and every row with the
+// helper executors it ran with, since both move multi-shard throughput.
 #include <algorithm>
 #include <cstdlib>
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
 #include <sstream>
 #include <string>
 
@@ -51,6 +56,13 @@ ScaleRow run_one(const char* name, const TopoGraph& topo, int shards,
                  Time stop) {
   ExperimentConfig cfg = sweep_config(stop);
   cfg.shards = shards;
+#if defined(__GLIBC__)
+  // peak_rss_kb is VmHWM, which never drops across rows. Earlier rows'
+  // freed heap stays resident in the malloc arena of every thread that
+  // ran them (shard workers and helper executors), so without this a
+  // row's peak would depend on how many threads the rows before it used.
+  malloc_trim(0);
+#endif
   return finish_row(name, shards, run_experiment(topo, cfg));
 }
 
@@ -76,9 +88,9 @@ void sweep(const char* name, const TopoGraph& topo, Time stop,
            const std::vector<int>& shard_counts, std::vector<ScaleRow>& all) {
   std::printf("\n[%s] %d hosts, %d nodes, stop=%.0f us\n", name,
               topo.num_hosts(), topo.num_nodes(), to_usec(stop));
-  std::printf("%-8s %14s %12s %12s %14s %6s %10s  %s\n", "shards", "events",
-              "wall(s)", "Mevents/s", "flows done", "det", "rss(MB)",
-              "per-shard events");
+  std::printf("%-8s %8s %14s %12s %12s %14s %6s %10s  %s\n", "shards",
+              "helpers", "events", "wall(s)", "Mevents/s", "flows done", "det",
+              "rss(MB)", "per-shard events");
   // The sweep's first row is the determinism reference (with the default
   // lists that is the 1-shard run; a BFC_FIG15_SHARDS override may start
   // elsewhere — any point works, determinism is pairwise-transitive).
@@ -113,7 +125,8 @@ void sweep(const char* name, const TopoGraph& topo, Time stop,
     } else {
       best_multi_eps = std::max(best_multi_eps, row.events_per_sec);
     }
-    std::printf("%-8d %14llu %12.3f %12.2f %14llu %6s %10.1f  %s\n", shards,
+    std::printf("%-8d %8d %14llu %12.3f %12.2f %14llu %6s %10.1f  %s\n",
+                shards, row.exp.helpers,
                 static_cast<unsigned long long>(row.exp.events_processed),
                 row.exp.wall_sec, row.events_per_sec / 1e6,
                 static_cast<unsigned long long>(row.exp.flows_completed),
@@ -140,6 +153,10 @@ bool det_of(const std::vector<ScaleRow>& rows, const char* topo) {
   return true;
 }
 
+std::string host_json() {
+  return bench::host_stamp_json(ShardedSimulator::usable_cores());
+}
+
 void write_json(const std::vector<ScaleRow>& rows) {
   std::ostringstream body;
   body.precision(6);
@@ -148,7 +165,8 @@ void write_json(const std::vector<ScaleRow>& rows) {
        << bench_scale() << ",\n    \"event_bytes\": " << sizeof(Event)
        << ",\n    \"wheel\": {\"slot_ns\": " << TimingWheel::kSlotNs
        << ", \"slots\": " << TimingWheel::kSlots
-       << ", \"horizon_ns\": " << TimingWheel::kHorizonNs << "},\n";
+       << ", \"horizon_ns\": " << TimingWheel::kHorizonNs << "},\n"
+       << "    \"host\": " << host_json() << ",\n";
   body << "    \"topos\": {";
   std::vector<std::string> topo_names;
   for (const ScaleRow& r : rows) {
@@ -181,6 +199,7 @@ void write_json(const std::vector<ScaleRow>& rows) {
     const ScaleRow& r = rows[i];
     body << "      {\"topo\": \"" << r.topo << "\", \"shards\": " << r.shards
          << ", \"sync\": \"" << r.exp.sync << "\""
+         << ", \"helpers\": " << r.exp.helpers
          << ", \"events\": " << r.exp.events_processed
          << ", \"wall_sec\": " << r.exp.wall_sec
          << ", \"events_per_sec\": "
@@ -283,6 +302,7 @@ int main() {
                 "multi-shard events/sec exceeds single-shard on the "
                 "full-scale (3-tier, 1024+-host) workloads, and every "
                 "shard count reports bit-identical stats at the same seed");
+  std::printf("host: %s\n", host_json().c_str());
   // T1 (128 hosts) is the small reference: barrier overhead can eat the
   // parallel win there. The 3-tier 1024/4096/16384-host fabrics are the
   // scale targets; the bigger presets run shorter sim windows so the full

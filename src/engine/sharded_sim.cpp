@@ -6,6 +6,9 @@
 #include <cstring>
 #include <limits>
 #include <thread>
+#if defined(__linux__)
+#include <sched.h>
+#endif
 
 #include "core/packet.hpp"
 
@@ -71,6 +74,14 @@ bool env_switch(const char* name, bool def) {
 }
 
 }  // namespace
+
+int ShardedSimulator::usable_cores() {
+#if defined(__linux__)
+  cpu_set_t set;
+  if (sched_getaffinity(0, sizeof(set), &set) == 0) return CPU_COUNT(&set);
+#endif
+  return static_cast<int>(std::thread::hardware_concurrency());
+}
 
 Event* Shard::make(int src_entity, Time at) {
   StealBatch* b = detail::tl_batch;
@@ -335,6 +346,12 @@ ShardedSimulator::ShardedSimulator(const TopoGraph& topo, int n_shards,
   steal_on_ = mode_ == SyncMode::kChannel && S > 1 &&
               env_switch("BFC_STEAL", hw > 1);
   coop_ = !steal_on_ && env_switch("BFC_COOP", hw <= 1);
+  // One helper executor (see run_helper) per core the S shard threads
+  // leave over, capped at S. Every helper polls steal_mu_, which owners
+  // also take to post, claim and erase batches; one helper per shard
+  // worker (2 beside 2 shards on 4 cores) is the layout measured, and
+  // more pollers than that is unmeasured contention.
+  helpers_ = steal_on_ ? std::clamp(usable_cores() - S, 0, S) : 0;
   for (int s = 0; s < S; ++s) {
     Time cap = kTimeInf;
     for (int m = 0; m < S; ++m) {
@@ -654,6 +671,26 @@ void ShardedSimulator::worker_channel(int s, Time stop) {
     if (++idle > 64) std::this_thread::yield();
   }
   if (hungry) hungry_.fetch_sub(1, std::memory_order_relaxed);
+  workers_live_.fetch_sub(1, std::memory_order_release);
+}
+
+void ShardedSimulator::run_helper(int executor) {
+  // A helper owns no shard, so it is hungry for the whole run: hot shards
+  // split whenever their wheel is deep enough, and the batches they offer
+  // find an executor even while every shard worker is busy. Which thread
+  // runs a batch never reaches the results (batch-private state, group-
+  // order merge). No batch outlives its owner's split_window, so once
+  // every shard worker has returned the board is empty for good.
+  hungry_.fetch_add(1, std::memory_order_relaxed);
+  int idle = 0;
+  while (workers_live_.load(std::memory_order_acquire) > 0) {
+    if (try_steal_one(executor)) {
+      idle = 0;
+    } else if (++idle > 64) {
+      std::this_thread::yield();
+    }
+  }
+  hungry_.fetch_sub(1, std::memory_order_relaxed);
 }
 
 void ShardedSimulator::run_channel_coop(Time stop) {
@@ -692,17 +729,18 @@ void ShardedSimulator::run_channel_coop(Time stop) {
 
 // --------------------------------------------------------------------
 // Work stealing: a hot shard splits one window into per-locality-group
-// batches and lets blocked neighbors execute some of them. Sound because
-// (a) groups only interact on timescales >= steal_cap_ (the window is
-// capped at w0 + steal_cap_, so a batch can never need another batch's
-// same-window output — enforced, not assumed: see steal_post_local), and
-// (b) all mutable state a batch touches is per-entity and entity-disjoint
-// across groups (device/queue state, sequence counters, per-node RNGs,
-// flow sender/receiver halves). Deterministic because each batch runs its
-// events in exact (at, key) order — including events it posts to itself
-// inside the window, via the batch heap — and the merge-back happens in
-// group order after every batch completed, feeding a wheel/stats layer
-// that is insensitive to inter-group arrival order.
+// batches and lets blocked neighbors and helper executors run some of
+// them. Sound because (a) groups only interact on timescales >= steal_cap_
+// (the window is capped at w0 + steal_cap_, so a batch can never need
+// another batch's same-window output — enforced, not assumed: see
+// steal_post_local), and (b) all mutable state a batch touches is
+// per-entity and entity-disjoint across groups (device/queue state,
+// sequence counters, per-node RNGs, flow sender/receiver halves).
+// Deterministic because each batch runs its events in exact (at, key)
+// order — including events it posts to itself inside the window, via the
+// batch heap — and the merge-back happens in group order after every
+// batch completed, feeding a wheel/stats layer that is insensitive to
+// inter-group arrival order. Which executor ran a batch never matters.
 
 int ShardedSimulator::group_of_event(const Event* e) const {
   if (e->fn == nullptr) return -1;  // shard-pinned closure
@@ -846,7 +884,7 @@ void ShardedSimulator::split_window(Shard& sh, Time w0, Time h, Time stop) {
     b->completions.clear();
     // Telemetry merge rides the same group-order fold (the kStealDone
     // acquire above orders the executor's batch writes before these
-    // reads). Only batches a neighbor actually ran become steal spans.
+    // reads). Only batches another executor ran become steal spans.
     if (sh.obs_ != nullptr) {
       if (b->claimed_by != sh.idx_) {
         sh.obs_->count(obs::kStealBatchesStolen);
@@ -979,9 +1017,13 @@ void ShardedSimulator::run_until(Time stop) {
     return;
   }
   std::vector<std::thread> threads;
-  threads.reserve(static_cast<std::size_t>(S - 1));
+  threads.reserve(static_cast<std::size_t>(S - 1 + helpers_));
+  workers_live_.store(S, std::memory_order_relaxed);
   for (int s = 1; s < S; ++s) {
     threads.emplace_back([this, s, stop] { worker_channel(s, stop); });
+  }
+  for (int k = 0; k < helpers_; ++k) {
+    threads.emplace_back([this, S, k] { run_helper(S + k); });
   }
   worker_channel(0, stop);
   for (std::thread& t : threads) t.join();

@@ -14,8 +14,12 @@
 //                      on the critical path. Cross-shard events travel in
 //                      per-pair SPSC inbox rings (engine/inbox_ring.hpp),
 //                      and a hot shard can shed same-window per-locality-
-//                      group batches to blocked shards via work stealing
-//                      with deterministic merge-back.
+//                      group batches via work stealing with deterministic
+//                      merge-back. Blocked shard workers claim them, and so
+//                      do up to S helper executors: threads that own no
+//                      shard and poll for offers for the whole run, one
+//                      per core the process may use beyond the S shard
+//                      threads (nothing checks those cores are idle).
 //
 //   barrier            The legacy global conservative-lookahead window:
 //                      all shards barrier, agree on the minimum pending
@@ -80,12 +84,12 @@ constexpr std::uint32_t kRunSeqBase = 0x80000000u;
 // One locality group's slice of a split window: the unit of work stealing.
 // The owner pops every event below the (capped) window end, partitions by
 // locality group, and offers the batches; whoever claims one — a blocked
-// neighbor or the owner itself — executes it against these private pools
-// and buffers, so the only shared state two concurrently-running batches
-// of one shard touch is disjoint per-entity state (sequence counters,
-// per-node RNGs, per-device queues). Posts that leave the (group, window)
-// box are deferred and merged back by the owner, in group order, after
-// every batch of the window has completed.
+// neighbor, a helper executor or the owner itself — executes it against
+// these private pools and buffers, so the only shared state two
+// concurrently-running batches of one shard touch is disjoint per-entity
+// state (sequence counters, per-node RNGs, per-device queues). Posts that
+// leave the (group, window) box are deferred and merged back by the owner,
+// in group order, after every batch of the window has completed.
 struct StealBatch {
   struct Item {
     Time at;
@@ -111,7 +115,7 @@ struct StealBatch {
   std::vector<std::pair<Event*, int>> deferred;
   std::vector<std::pair<std::uint64_t, Time>> completions;
   std::uint64_t events_run = 0;
-  int claimed_by = -1;  // shard index of the executor
+  int claimed_by = -1;  // executor: shard index, or S+k for helper k
   // Batch-private telemetry sinks (null when the owner's telemetry is
   // off): the executor writes here, the owner folds them back in group
   // order after the window — same handoff as `deferred`/`completions`,
@@ -158,8 +162,8 @@ class Shard {
     return b != nullptr && b->owner == this ? b->cold : cold_;
   }
   std::uint64_t events_run() const { return events_run_; }
-  // Events of this shard that were executed by another shard's worker via
-  // work stealing (a subset of events_run()).
+  // Events of this shard that another executor (a neighbor's worker or a
+  // helper) ran via work stealing (a subset of events_run()).
   std::uint64_t events_stolen() const { return events_stolen_; }
 
   // Telemetry sink for code executing on behalf of this shard, or null
@@ -298,6 +302,13 @@ class ShardedSimulator {
     return mode_ == SyncMode::kBarrier ? "barrier" : "channel";
   }
   bool steal_enabled() const { return steal_on_; }
+  // Helper executors a threaded channel run starts next to its shard
+  // workers: usable_cores() - S clamped to [0, S] with stealing on, else 0.
+  int helpers() const { return helpers_; }
+  // CPUs this process may run on: its affinity mask on Linux, which a
+  // taskset- or cpuset-limited container keeps below the online count
+  // (hardware_concurrency() elsewhere).
+  static int usable_cores();
 
   // Legacy single-shard convenience API (TrafficGen, samplers, direct
   // benches). Aborts on a multi-shard engine: closures there must target a
@@ -311,7 +322,7 @@ class ShardedSimulator {
   void run_until(Time stop);
 
   std::uint64_t events_processed() const;
-  // Events executed by a non-owning shard via work stealing.
+  // Events executed by a non-owning executor via work stealing.
   std::uint64_t events_stolen() const;
   // Cross-shard events that overflowed a full inbox ring into the
   // producer-side FIFO (they still arrive, in order; this counts how
@@ -359,6 +370,9 @@ class ShardedSimulator {
 
   // --- channel mode ---
   void worker_channel(int s, Time stop);
+  // Helper executor `executor` (>= S): claims offered batches until every
+  // shard worker of this run_until has returned.
+  void run_helper(int executor);
   void run_channel_coop(Time stop);
   Step channel_step(int s, Time stop, bool threaded, bool* clock_moved);
   // Earliest timestamp any other shard could still send to `s`. When
@@ -417,10 +431,12 @@ class ShardedSimulator {
   bool coop_ = false;       // run all shards on the calling thread
   bool steal_on_ = false;
   std::size_t steal_threshold_ = 0;
+  int helpers_ = 0;  // helper executors per threaded channel run
 
   std::mutex steal_mu_;
   std::vector<StealBatch*> steal_board_;
   std::atomic<int> hungry_{0};
+  std::atomic<int> workers_live_{0};  // shard workers not yet returned
 
   std::atomic<int> barrier_arrived_{0};
   std::atomic<std::uint64_t> barrier_gen_{0};

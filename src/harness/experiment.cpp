@@ -462,6 +462,7 @@ ExperimentResult ExperimentRun::collect() {
   }
   r.wall_sec = wall_sec_;
   r.sync = sim.sync_name();
+  r.helpers = sim.helpers();
   r.events_stolen = sim.events_stolen();
   r.inbox_overflows = sim.inbox_overflows();
   // Device rollups: always on, deterministic (pure sim-time functions).

@@ -116,6 +116,7 @@ struct ExperimentResult {
   // so determinism checks must NOT compare them (they legitimately vary
   // run to run under work stealing).
   std::string sync;
+  int helpers = 0;  // helper executors beside the shard workers
   std::uint64_t events_stolen = 0;
   std::uint64_t inbox_overflows = 0;
   // Engine telemetry rollups (BFC_METRICS / BFC_TRACE; all zero when the

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <string>
 #include <thread>
 
@@ -12,8 +13,15 @@ namespace bfc {
 bool SweepServer::resident_enabled() {
   static const bool on = [] {
     const char* env = std::getenv("BFC_RESIDENT");
-    return env != nullptr && *env != '\0' &&
-           !(env[0] == '0' && env[1] == '\0');
+    if (env == nullptr || *env == '\0' || std::strcmp(env, "0") == 0) {
+      return false;
+    }
+    if (std::strcmp(env, "1") == 0) return true;
+    // Same convention as BFC_STEAL/BFC_COOP: "false" or "yes" must not
+    // silently pick a mode.
+    std::fprintf(stderr, "SweepServer: BFC_RESIDENT='%s' is neither '0' "
+                         "nor '1'\n", env);
+    std::abort();
   }();
   return on;
 }

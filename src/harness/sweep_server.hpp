@@ -29,8 +29,9 @@ namespace bfc {
 
 class SweepServer {
  public:
-  // True when BFC_RESIDENT is set to anything but "" / "0": benches route
-  // their point batches through the resident paths below.
+  // True when BFC_RESIDENT=1 (unset, "" and "0" mean off; any other value
+  // aborts): benches route their point batches through the resident
+  // paths below.
   static bool resident_enabled();
 
   // Worker threads for run_batch: BFC_RESIDENT_JOBS, defaulting to the

@@ -43,7 +43,7 @@ enum Counter {
   kClockAdvances,       // published channel clock strictly rose
   kRingFlushEvents,     // events moved overflow FIFO -> inbox ring
   kStealBatchesOffered, // batches posted to the steal board
-  kStealBatchesStolen,  // batches executed by a non-owning shard
+  kStealBatchesStolen,  // batches run by a non-owning executor
   kEpochSamples,        // gauge/histogram sampling points taken
   // Fault plane (core/fault.hpp). Unlike the scheduling counters above,
   // these mirror deterministic device counters (NicStats/SwitchTotals)
@@ -114,7 +114,8 @@ struct HistoCell {
 // kind-specific small args (peer shard, executor, port, value...).
 enum class SpanKind : std::uint8_t {
   kClockWait,    // a = blocking neighbor shard      b = wait ns
-  kSteal,        // a = executor shard               b = events run
+  kSteal,        // a = executor: shard index, or S+k for helper k
+                 //                                  b = events run
   kReclaim,      // a = switch node                  b = ports freed
   kPause,        // a = switch node                  b = ingress port
   kGaugeSample,  // a = Gauge index                  b = sampled value

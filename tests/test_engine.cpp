@@ -2,11 +2,17 @@
 // round-trip (a recycled event must return its arena handles and never pin
 // a snapshot), PacketFifo ordering and accounting, and the
 // ShardedSimulator's single-shard clock semantics (mirroring the legacy
-// Simulator contract).
+// Simulator contract), and work stealing by shard workers and helper
+// executors.
 #include "engine/event.hpp"
 
 #include <algorithm>
+#include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <sstream>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "engine/inbox_ring.hpp"
@@ -312,28 +318,67 @@ void check_stats_equal(const ExperimentResult& a, const ExperimentResult& b) {
   CHECK(a.p99_slowdown == b.p99_slowdown);
 }
 
+// The `"executor":N` args of a Chrome trace's steal-batch spans, as a
+// {min, max} pair ({-1, -1} when no batch was stolen).
+std::pair<int, int> steal_executor_range(const char* path) {
+  std::ifstream in(path);
+  std::ostringstream ss;
+  ss << in.rdbuf();
+  const std::string trace = ss.str();
+  const std::string key = "\"executor\":";
+  int lo = -1, hi = -1;
+  for (std::size_t pos = trace.find(key); pos != std::string::npos;
+       pos = trace.find(key, pos + 1)) {
+    const int e = std::atoi(trace.c_str() + pos + key.size());
+    lo = lo < 0 ? e : std::min(lo, e);
+    hi = std::max(hi, e);
+  }
+  return {lo, hi};
+}
+
 // Work-stealing stranding: with stealing forced on every window, stats
 // must stay bit-identical to the barrier oracle (the engine hard-aborts
 // if a stolen batch ever executes an event outside its window, so the
 // window invariant is checked by running at all), and some steals must
-// actually happen — a rig that never steals tests nothing.
+// actually happen — a rig that never steals tests nothing. Both kinds of
+// executor must show up in the steal-batch spans: a blocked shard worker
+// claiming its neighbor's batch (executor < S) and, on a box with more
+// cores than shards, a helper executor that owns no shard (executor >= S).
 void test_steal_stranding() {
+  const int shards = 2;
+  const int helpers =
+      std::clamp(ShardedSimulator::usable_cores() - shards, 0, shards);
   const ExperimentResult oracle = run_small(1, SyncMode::kBarrier);
+  const char* trace_path = "test_engine_steal_trace.json";
   setenv("BFC_STEAL", "1", 1);
   setenv("BFC_STEAL_THRESHOLD", "1", 1);
+  setenv("BFC_TRACE", "1", 1);
+  setenv("BFC_TRACE_OUT", trace_path, 1);
   std::uint64_t stolen = 0;
-  // Whether a blocked neighbor claims an offer before the owner takes it
-  // back is a thread-timing race (the results are not): retry a few times
-  // for a nonzero steal count, checking determinism on every attempt.
-  for (int attempt = 0; attempt < 8 && stolen == 0; ++attempt) {
-    const ExperimentResult got = run_small(2, SyncMode::kChannel);
+  bool by_worker = false, by_helper = helpers == 0;
+  // Which executor claims an offer (or whether the owner takes it back
+  // first) is a thread-timing race (the results are not): retry a few
+  // times for both kinds of claim, checking determinism on every attempt.
+  for (int attempt = 0; attempt < 8 && !(by_worker && by_helper);
+       ++attempt) {
+    const ExperimentResult got = run_small(shards, SyncMode::kChannel);
     CHECK(got.sync == "channel");
+    CHECK(got.helpers == helpers);
     check_stats_equal(oracle, got);
-    stolen = got.events_stolen;
+    stolen += got.events_stolen;
+    const auto [lo, hi] = steal_executor_range(trace_path);
+    CHECK(hi < shards + helpers);
+    by_worker = by_worker || (lo >= 0 && lo < shards);
+    by_helper = by_helper || hi >= shards;
   }
   unsetenv("BFC_STEAL");
   unsetenv("BFC_STEAL_THRESHOLD");
+  unsetenv("BFC_TRACE");
+  unsetenv("BFC_TRACE_OUT");
+  std::remove(trace_path);
   CHECK(stolen > 0);
+  CHECK(by_worker);
+  CHECK(by_helper);
 }
 
 // Forced ring wraparound end to end: a capacity-2 ring overflows on

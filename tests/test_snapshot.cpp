@@ -17,11 +17,17 @@
 //     version bump.
 //   * Reject, never crash — seeded byte mutants of a small image are either
 //     refused with a diagnostic or restore and re-save cleanly.
+//   * SweepServer — warm shard sweeps and batches match cold runs, and a
+//     malformed BFC_RESIDENT aborts instead of picking a mode.
 #include "core/snapshot.hpp"
 
 #include <algorithm>
 #include <cinttypes>
+#include <csignal>
+#include <cstdlib>
 #include <string>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include "harness/experiment.hpp"
 #include "harness/sweep_server.hpp"
@@ -400,9 +406,41 @@ void check_sweep_server(const TopoGraph& topo) {
   }
 }
 
+// BFC_RESIDENT accepts only unset, "", "0" or "1"; anything else aborts
+// with a message. resident_enabled() caches its answer, so every value is
+// read in its own forked child.
+void check_resident_env() {
+  struct Case {
+    const char* value;  // null = unset
+    int exit_code;      // -1 = must abort
+  };
+  const Case cases[] = {{nullptr, 0}, {"", 0},      {"0", 0},   {"1", 1},
+                        {"false", -1}, {"true", -1}, {"01", -1}, {"2", -1}};
+  for (const Case& c : cases) {
+    const pid_t pid = fork();
+    if (pid == 0) {
+      if (c.value == nullptr) {
+        unsetenv("BFC_RESIDENT");
+      } else {
+        setenv("BFC_RESIDENT", c.value, 1);
+      }
+      std::_Exit(SweepServer::resident_enabled() ? 1 : 0);
+    }
+    CHECK(pid > 0);
+    int status = 0;
+    CHECK(waitpid(pid, &status, 0) == pid);
+    if (c.exit_code < 0) {
+      CHECK(WIFSIGNALED(status) && WTERMSIG(status) == SIGABRT);
+    } else {
+      CHECK(WIFEXITED(status) && WEXITSTATUS(status) == c.exit_code);
+    }
+  }
+}
+
 }  // namespace
 
 int main() {
+  check_resident_env();
   const TopoGraph topo = TopoGraph::three_tier(ThreeTierConfig::t3_small());
   check_continuation(topo, /*storm=*/false);
   check_continuation(topo, /*storm=*/true);

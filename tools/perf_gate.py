@@ -43,6 +43,8 @@ Modes:
                   collapses that calibration could otherwise absorb.
 
 Always enforced: nonzero throughput and a clean determinism column.
+The summary header names the current run's host (fig15's "host" stamp:
+CPU model, nproc) and the helper executors each multi-shard row ran with.
 
 Memory gate: each engine row's peak_rss_kb (VmHWM after the sweep point;
 fig15 rows carry it per (topo, shards)) must stay within --rss-tolerance
@@ -105,6 +107,32 @@ def load_rows(path):
         return [], None
     engine = doc.get("engine", {})
     return engine.get("rows", []), engine.get("scale")
+
+
+def load_host(path):
+    """The host stamp fig15_scale records ({"cpu_model", "nproc"}).
+    Absent -> {} (runs recorded before the stamp existed)."""
+    try:
+        with open(path) as f:
+            doc = json.load(f)
+    except (OSError, ValueError):
+        return {}
+    return doc.get("engine", {}).get("host", {})
+
+
+def host_line(host, rows):
+    """One summary line naming the machine and the helper executors each
+    multi-shard row ran with (a 2-shard row on 4 cores runs 4 threads)."""
+    if not host:
+        return "Host: not recorded."
+    helpers = {}
+    for r in rows:
+        if r.get("shards", 1) > 1:
+            helpers.setdefault(r["shards"], r.get("helpers", 0))
+    per = ", ".join(f"{s} shards: {h}" for s, h in sorted(helpers.items()))
+    return (f"Host: {host.get('cpu_model', '?')}, nproc "
+            f"{host.get('nproc', '?')}; helper executors per row: "
+            f"{per or 'none'}.")
 
 
 def load_fault(path):
@@ -548,8 +576,10 @@ def gate(current, committed, tolerance, calibrate, hard_floor, pr2=None,
 
 
 def render(rows, factor, tolerance, calibrate, cur_scale, base_scale,
-           n_history=0):
+           n_history=0, host=""):
     lines = ["## Engine perf trajectory", ""]
+    if host:
+        lines += [host, ""]
     mode = (f"calibrated (machine factor {factor:.2f})"
             if calibrate else "raw")
     base = (f"rolling median of last {n_history} runs" if n_history
@@ -826,6 +856,17 @@ def self_test():
     assert render_rss(tab, 0.15, 0).count("|") > 0 and \
         "t3_4096@1sh" in render_rss(tab, 0.15, 0), \
         "RSS rows must render for the job summary"
+
+    # Host stamp: the summary header names the machine and each
+    # multi-shard row's helper executors; pre-stamp runs say so.
+    line = host_line({"cpu_model": "Xeon", "nproc": 4},
+                     [{"shards": 1, "helpers": 0},
+                      {"shards": 2, "helpers": 2},
+                      {"shards": 8, "helpers": 0}])
+    assert "Xeon, nproc 4" in line and "2 shards: 2" in line and \
+        "8 shards: 0" in line and "1 shards" not in line, line
+    assert host_line({}, []) == "Host: not recorded."
+    assert line in render([], 1.0, 0.25, False, 0.05, 0.05, host=line)
     # No baseline (new row, or zero-RSS platform): visible, never fatal.
     novel = [{"topo": "t3_65536", "shards": 1, "peak_rss_kb": 3_900_000},
              {"topo": "t1_128", "shards": 1, "peak_rss_kb": 0}]
@@ -1020,13 +1061,14 @@ def main():
     failures, rows, factor = gate(current, baseline, args.tolerance,
                                   args.calibrate, args.hard_floor, pr2,
                                   optional, floors=committed)
+    cur_rows, _ = load_rows(args.current)
     report = render(rows, factor, args.tolerance, args.calibrate,
-                    cur_scale, base_scale, n_history)
+                    cur_scale, base_scale, n_history,
+                    host_line(load_host(args.current), cur_rows))
     traj = render_trajectory(load_history_file(args.history_file),
                              current, cur_scale)
     if traj:
         report += "\n" + traj
-    cur_rows, _ = load_rows(args.current)
     com_rows, com_scale = load_rows(args.baseline)
     rss_base, n_rss = rss_baseline(com_rows, com_scale, args.history,
                                    args.history_limit, cur_scale,

@@ -1,5 +1,10 @@
 // Fig. 12: sensitivity to the number of physical queues per egress port.
-// Fewer queues mean more collisions and worse tails; 32 is the knee.
+// Fewer queues mean more collisions and worse tails; 32 is the knee. Exits
+// 1 unless the collision fraction falls strictly with every doubling from
+// 8 to 128 queues/port (so 128 is the lowest).
+#include <cstdio>
+#include <string>
+
 #include "bench_util.hpp"
 
 int main() {
@@ -21,6 +26,7 @@ int main() {
     r.scheme = std::to_string(nq) + "q";
     results.push_back(std::move(r));
   }
+  const std::size_t n_queue_rows = results.size();
   {
     ExperimentConfig cfg = bench::standard_config(Scheme::kIdealFq, "google",
                                                   0.60, 0.05, stop);
@@ -28,5 +34,18 @@ int main() {
   }
   std::printf("\np99 FCT slowdown by flow size:\n");
   print_slowdown_table(paper_size_bins(), results);
-  return 0;
+
+  std::printf("\n");
+  bool ok = true;
+  for (std::size_t i = 0; i + 1 < n_queue_rows; ++i) {
+    const ExperimentResult& more = results[i + 1];
+    const ExperimentResult& fewer = results[i];
+    char detail[96];
+    std::snprintf(detail, sizeof detail, "%s %.4f%% vs %s %.4f%%",
+                  more.scheme.c_str(), 100 * more.collision_frac,
+                  fewer.scheme.c_str(), 100 * fewer.collision_frac);
+    ok &= bench::claim("collisions " + more.scheme + " < " + fewer.scheme,
+                       more.collision_frac < fewer.collision_frac, detail);
+  }
+  return ok ? 0 : 1;
 }

@@ -303,7 +303,7 @@ int main() {
                 "full-scale (3-tier, 1024+-host) workloads, and every "
                 "shard count reports bit-identical stats at the same seed");
   std::printf("host: %s\n", host_json().c_str());
-  // T1 (128 hosts) is the small reference: barrier overhead can eat the
+  // T1 (128 hosts) is the small reference: sync overhead can eat the
   // parallel win there. The 3-tier 1024/4096/16384-host fabrics are the
   // scale targets; the bigger presets run shorter sim windows so the full
   // sweep stays tractable at scale 1. t3_16384 — opened by lazy switch

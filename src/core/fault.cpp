@@ -3,9 +3,10 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <limits>
 
 #include "core/topology.hpp"
+#include "sim/env_knob.hpp"
 
 namespace bfc {
 
@@ -19,17 +20,9 @@ std::uint64_t next_rand(std::uint64_t& state) {
   return z ^ (z >> 31);
 }
 
+// BFC_FAULT_* knobs: any non-negative integer.
 long fault_env_long(const char* name, long fallback) {
-  const char* env = std::getenv(name);
-  if (env == nullptr || *env == '\0') return fallback;
-  char* end = nullptr;
-  const long v = std::strtol(env, &end, 10);
-  if (end == env || *end != '\0' || v < 0) {
-    std::fprintf(stderr, "FaultPlan: %s='%s' is not a non-negative integer\n",
-                 name, env);
-    std::abort();
-  }
-  return v;
+  return env_long(name, fallback, 0, std::numeric_limits<long>::max());
 }
 
 // Appends (t, state) to a per-link/per-node history, enforcing the

@@ -254,7 +254,7 @@ void Network::stream_flow(const FlowKey& key, std::uint64_t bytes,
   const int shard = sim_.shard_of(static_cast<int>(key.src));
   starts_[static_cast<std::size_t>(shard)].push_back(
       {uid, key, f->bytes, at, incast});
-  // Identical event identity to the eager path: same setup sequence
+  // Identical event identity to prepare_flow: same setup sequence
   // space, same entity, same timestamp — so the run's (at, key) order is
   // bit-for-bit the order a pre-seeded trace would have produced.
   Shard& s = sim_.shard(shard);

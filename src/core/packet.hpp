@@ -9,8 +9,9 @@
 // the lazily-resolved forward route cache) is only touched by the source
 // NIC's shard and its receiver state (including the reverse route cache)
 // only by the destination NIC's shard — that disjointness is what lets a
-// flow span two shards without locks, and the shard barrier orders the
-// one-time route writes before any downstream read.
+// flow span two shards without locks, and the cross-shard handoff (a ring
+// push published before the sender's clock rises) orders the one-time
+// route writes before any downstream read.
 #pragma once
 
 #include <cstdint>

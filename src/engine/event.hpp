@@ -75,7 +75,7 @@ struct alignas(64) Event {
   } u = {};
   EvPayload payload = EvPayload::kNone;
 
-  Event* next = nullptr;  // pool free list / mailbox chain / wheel bucket
+  Event* next = nullptr;  // pool free list / ring overflow / wheel bucket
 
   void put_packet(PacketNode* n, std::int32_t in_port) {
     u.pkt = {n, in_port};

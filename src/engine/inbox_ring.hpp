@@ -5,9 +5,9 @@
 // src shard's worker (or the owning shard merging a stolen batch — same
 // thread); the consumer is always the dst shard's worker, so both ends are
 // wait-free single-threaded index bumps. The hot path is an array of
-// Event* slots the consumer walks sequentially — prefetchable, unlike the
-// pointer-chased mailbox chains it replaces — with head and tail on their
-// own cache lines so the two sides never false-share.
+// Event* slots the consumer walks sequentially — prefetchable, unlike a
+// pointer-chased list — with head and tail on their own cache lines so the
+// two sides never false-share.
 //
 // The ring never drops and never reorders. When the ring is full the
 // producer appends to a producer-private overflow FIFO (intrusive, via

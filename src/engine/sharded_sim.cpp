@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <limits>
 #include <thread>
 #if defined(__linux__)
@@ -11,6 +10,7 @@
 #endif
 
 #include "core/packet.hpp"
+#include "sim/env_knob.hpp"
 
 namespace bfc {
 
@@ -32,46 +32,6 @@ struct LaterItem {
     return a.key > b.key;
   }
 };
-
-long env_long(const char* name, long def, long lo, long hi) {
-  const char* env = std::getenv(name);
-  if (env == nullptr || *env == '\0') return def;
-  char* end = nullptr;
-  const long v = std::strtol(env, &end, 10);
-  if (end == env || *end != '\0') {
-    // Same convention as bench_scale: a typo must not silently become a
-    // different run.
-    std::fprintf(stderr, "ShardedSimulator: %s='%s' is not an integer\n",
-                 name, env);
-    std::abort();
-  }
-  return v < lo ? lo : (v > hi ? hi : v);
-}
-
-SyncMode resolve_sync(SyncMode mode) {
-  if (mode != SyncMode::kEnv) return mode;
-  const char* env = std::getenv("BFC_SYNC");
-  if (env == nullptr || *env == '\0' || std::strcmp(env, "channel") == 0) {
-    return SyncMode::kChannel;
-  }
-  if (std::strcmp(env, "barrier") == 0) return SyncMode::kBarrier;
-  std::fprintf(stderr,
-               "ShardedSimulator: BFC_SYNC='%s' is neither 'channel' nor "
-               "'barrier'\n",
-               env);
-  std::abort();
-}
-
-// Tri-state env switch: def when unset, else "0"/"1".
-bool env_switch(const char* name, bool def) {
-  const char* env = std::getenv(name);
-  if (env == nullptr || *env == '\0') return def;
-  if (std::strcmp(env, "0") == 0) return false;
-  if (std::strcmp(env, "1") == 0) return true;
-  std::fprintf(stderr, "ShardedSimulator: %s='%s' is neither '0' nor '1'\n",
-               name, env);
-  std::abort();
-}
 
 }  // namespace
 
@@ -129,21 +89,6 @@ void Shard::post(Event* e, int dst_node) {
   }
   if (dst == idx_) {
     wheel_.push(e);
-    return;
-  }
-  if (engine_->mode_ == SyncMode::kBarrier) {
-    if (e->at < now_ + engine_->lookahead_) {
-      engine_->lookahead_violation(e, idx_, dst, now_, engine_->lookahead_);
-    }
-    ShardedSimulator::Mailbox& m =
-        engine_->mbox_[static_cast<std::size_t>(idx_ * engine_->n_shards() +
-                                                dst)];
-    if (m.tail != nullptr) {
-      m.tail->next = e;
-    } else {
-      m.head = e;
-    }
-    m.tail = e;
     return;
   }
   const Time d = engine_->channel_lookahead(idx_, dst);
@@ -261,7 +206,7 @@ void Shard::obs_epoch_sample(Time t) {
 }
 
 ShardedSimulator::ShardedSimulator(const TopoGraph& topo, int n_shards,
-                                   SyncMode mode) {
+                                   SyncMode /*sync: one protocol*/) {
   int S = n_shards < 1 ? 1 : n_shards;
   if (S > topo.num_nodes()) S = topo.num_nodes();
   n_nodes_ = topo.num_nodes();
@@ -269,8 +214,6 @@ ShardedSimulator::ShardedSimulator(const TopoGraph& topo, int n_shards,
   seq_.assign(static_cast<std::size_t>(n_nodes_ + S), 0);
   setup_seq_.assign(static_cast<std::size_t>(n_nodes_), 0);
   node_events_.assign(static_cast<std::size_t>(n_nodes_), 0);
-  mbox_.resize(static_cast<std::size_t>(S) * static_cast<std::size_t>(S));
-  next_time_.assign(static_cast<std::size_t>(S), 0);
   for (int s = 0; s < S; ++s) {
     shards_.push_back(std::make_unique<Shard>());
     shards_.back()->engine_ = this;
@@ -288,8 +231,7 @@ ShardedSimulator::ShardedSimulator(const TopoGraph& topo, int n_shards,
   // packet, a pause frame, an ack shortcut — corresponds to a physical
   // path whose delay is at least the sum of its link propagations, which
   // the all-pairs shortest-path closure of the per-pair minimum link
-  // delays lower-bounds. The global (barrier) lookahead is the
-  // off-diagonal minimum, exactly the old derivation.
+  // delays lower-bounds. lookahead() is the off-diagonal minimum.
   chan_delay_ = topo.shard_link_delays(shard_of_, S);
   lookahead_ = kTimeInf;
   for (int i = 0; i < S; ++i) {
@@ -318,9 +260,7 @@ ShardedSimulator::ShardedSimulator(const TopoGraph& topo, int n_shards,
     }
   }
 
-  mode_ = resolve_sync(mode);
-
-  if (mode_ == SyncMode::kChannel && S > 1) {
+  if (S > 1) {
     const auto cap = static_cast<std::size_t>(
         env_long("BFC_INBOX_RING_CAP", InboxRing::kDefaultCap, 2, 1 << 20));
     rings_.resize(static_cast<std::size_t>(S) * static_cast<std::size_t>(S));
@@ -335,7 +275,7 @@ ShardedSimulator::ShardedSimulator(const TopoGraph& topo, int n_shards,
     clock_ = std::make_unique<PubClock[]>(static_cast<std::size_t>(S));
   }
 
-  // Work stealing: only meaningful in threaded channel mode. The steal
+  // Work stealing: only meaningful in threaded runs. The steal
   // window cap per shard is the fastest intra-shard inter-group
   // interaction: either a direct same-shard link between two groups, or a
   // round trip that physically leaves the shard and comes back (the ack
@@ -343,8 +283,7 @@ ShardedSimulator::ShardedSimulator(const TopoGraph& topo, int n_shards,
   steal_threshold_ = static_cast<std::size_t>(
       env_long("BFC_STEAL_THRESHOLD", 256, 1, 1L << 30));
   const unsigned hw = std::thread::hardware_concurrency();
-  steal_on_ = mode_ == SyncMode::kChannel && S > 1 &&
-              env_switch("BFC_STEAL", hw > 1);
+  steal_on_ = S > 1 && env_switch("BFC_STEAL", hw > 1);
   coop_ = !steal_on_ && env_switch("BFC_COOP", hw <= 1);
   // One helper executor (see run_helper) per core the S shard threads
   // leave over, capped at S. Every helper polls steal_mu_, which owners
@@ -411,68 +350,7 @@ void ShardedSimulator::after(Time delay, std::function<void()> fn) {
 }
 
 // --------------------------------------------------------------------
-// Barrier mode: the legacy global conservative-lookahead loop, kept as
-// the reference oracle (BFC_SYNC=barrier).
-
-void ShardedSimulator::barrier_wait() {
-  const std::uint64_t gen = barrier_gen_.load(std::memory_order_acquire);
-  if (barrier_arrived_.fetch_add(1, std::memory_order_acq_rel) + 1 ==
-      n_shards()) {
-    barrier_arrived_.store(0, std::memory_order_relaxed);
-    barrier_gen_.store(gen + 1, std::memory_order_release);
-    return;
-  }
-  // Spin briefly for the common fast-arrival case, then yield: on
-  // oversubscribed machines (fewer cores than shards) a long spin just
-  // burns the quantum the straggler needs.
-  int spins = 0;
-  while (barrier_gen_.load(std::memory_order_acquire) == gen) {
-    if (++spins > 128) std::this_thread::yield();
-  }
-}
-
-void ShardedSimulator::drain_mailboxes(int s) {
-  const int S = n_shards();
-  Shard& sh = *shards_[static_cast<std::size_t>(s)];
-  for (int src = 0; src < S; ++src) {
-    Mailbox& m = mbox_[static_cast<std::size_t>(src * S + s)];
-    Event* e = m.head;
-    m.head = m.tail = nullptr;
-    while (e != nullptr) {
-      Event* nxt = e->next;
-      e->next = nullptr;
-      sh.wheel_.push(e);
-      e = nxt;
-    }
-  }
-}
-
-void ShardedSimulator::worker_barrier(int s, Time stop) {
-  Shard& sh = *shards_[static_cast<std::size_t>(s)];
-  const int S = n_shards();
-  for (;;) {
-    drain_mailboxes(s);
-    next_time_[static_cast<std::size_t>(s)] = sh.wheel_.min_time();
-    barrier_wait();
-    // Everyone computes the same minimum from the same snapshot, so the
-    // window choice is part of the deterministic execution.
-    Time gmin = kTimeInf;
-    for (int i = 0; i < S; ++i) {
-      gmin = std::min(gmin, next_time_[static_cast<std::size_t>(i)]);
-    }
-    if (gmin > stop) {
-      sh.now_ = stop;
-      return;
-    }
-    Time wend = gmin + lookahead_;
-    if (wend > stop) wend = stop + 1;  // final window runs events at == stop
-    sh.run_window(wend, stop);
-    barrier_wait();  // window done; mailbox writes now visible to drains
-  }
-}
-
-// --------------------------------------------------------------------
-// Channel mode: per-link channel clocks (null-message style).
+// Per-link channel clocks (null-message style).
 //
 // Each shard s publishes clock[s], a monotone lower bound on the
 // timestamp of any event it may still send: min(its wheel minimum, its
@@ -492,7 +370,7 @@ void ShardedSimulator::worker_barrier(int s, Time stop) {
 // horizon), and since every channel lookahead is positive the horizon
 // strictly advances past any finite configuration, so the protocol is
 // deadlock-free; an idle stretch costs each shard a few clock loads per
-// advance instead of two global barriers per window.
+// advance.
 
 Time ShardedSimulator::earliest_inbound(int s, int* argmin) const {
   const int S = n_shards();
@@ -997,16 +875,6 @@ void ShardedSimulator::run_until(Time stop) {
     if (sh.now_ < stop) sh.now_ = stop;
     return;
   }
-  if (mode_ == SyncMode::kBarrier) {
-    std::vector<std::thread> threads;
-    threads.reserve(static_cast<std::size_t>(S - 1));
-    for (int s = 1; s < S; ++s) {
-      threads.emplace_back([this, s, stop] { worker_barrier(s, stop); });
-    }
-    worker_barrier(0, stop);
-    for (std::thread& t : threads) t.join();
-    return;
-  }
   // Channel clocks start each run conservative (0 is a valid bound for
   // any pending event) and rise to kTimeInf as shards finish.
   for (int s = 0; s < S; ++s) {
@@ -1052,10 +920,6 @@ std::uint64_t ShardedSimulator::inbox_overflows() const {
 void ShardedSimulator::drain_transport_for_snapshot() {
   const int S = n_shards();
   if (S == 1) return;
-  if (mode_ == SyncMode::kBarrier) {
-    for (int s = 0; s < S; ++s) drain_mailboxes(s);
-    return;
-  }
   // A flush can refill a ring a drain just emptied, so iterate the
   // (overflow -> ring -> wheel) pipeline to a fixed point. Ring capacity
   // is >= 2 and drains empty completely, so every pass with parked events

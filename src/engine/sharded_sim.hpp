@@ -1,31 +1,18 @@
 // The sharded simulation engine: N shard-local event loops over one
-// partitioned topology, synchronized conservatively. Two protocols share
-// the same shard/event machinery (BFC_SYNC selects; docs/ARCHITECTURE.md
-// "shard synchronization protocol"):
-//
-//   channel (default)  Per-link channel clocks, null-message style. Every
-//                      shard publishes a monotone clock — a lower bound on
-//                      any event it may still send — and advances past
-//                      min over senders of (clock + channel lookahead),
-//                      where the per-pair lookahead is the shortest-path
-//                      closure of the minimum cross-shard link delays. A
-//                      shard therefore waits only on shards that can
-//                      actually reach it in time, with no global barrier
-//                      on the critical path. Cross-shard events travel in
-//                      per-pair SPSC inbox rings (engine/inbox_ring.hpp),
-//                      and a hot shard can shed same-window per-locality-
-//                      group batches via work stealing with deterministic
-//                      merge-back. Blocked shard workers claim them, and so
-//                      do up to S helper executors: threads that own no
-//                      shard and poll for offers for the whole run, one
-//                      per core the process may use beyond the S shard
-//                      threads (nothing checks those cores are idle).
-//
-//   barrier            The legacy global conservative-lookahead window:
-//                      all shards barrier, agree on the minimum pending
-//                      timestamp, run one global-lookahead window, and
-//                      barrier again. Kept as the reference oracle for
-//                      the differential determinism tests.
+// partitioned topology, synchronized conservatively by per-link channel
+// clocks, null-message style (docs/ARCHITECTURE.md "shard synchronization
+// protocol"). Every shard publishes a monotone clock — a lower bound on any
+// event it may still send — and advances past min over senders of (clock +
+// channel lookahead), where the per-pair lookahead is the shortest-path
+// closure of the minimum cross-shard link delays. A shard therefore waits
+// only on shards that can actually reach it in time, with no global barrier
+// on the critical path. Cross-shard events travel in per-pair SPSC inbox
+// rings (engine/inbox_ring.hpp), and a hot shard can shed same-window
+// per-locality-group batches via work stealing with deterministic
+// merge-back. Blocked shard workers claim them, and so do up to S helper
+// executors: threads that own no shard and poll for offers for the whole
+// run, one per core the process may use beyond the S shard threads
+// (nothing checks those cores are idle).
 //
 // Every node of the topology is owned by exactly one Shard, and all of a
 // node's events execute on (or on behalf of) its owning shard. Shards only
@@ -37,10 +24,10 @@
 // thread interleaving, and no synchronization protocol ever lets an event
 // execute before everything that could precede it in that order has
 // arrived — so a run's per-device event order, and therefore every
-// reported stat, is bit-identical for every shard count and either sync
-// mode under the same seed. tests/test_channel_clocks.cpp checks channel
-// against barrier differentially; tests/test_determinism_fuzz.cpp sweeps
-// randomized cases.
+// reported stat, is bit-identical for every shard count under the same
+// seed. tests/test_channel_clocks.cpp checks every shard count against the
+// 1-shard run (which never touches the protocol);
+// tests/test_determinism_fuzz.cpp sweeps randomized cases.
 #pragma once
 
 #include <atomic>
@@ -65,17 +52,17 @@ namespace bfc {
 class Shard;
 class ShardedSimulator;
 
-// Cross-shard synchronization protocol. kEnv resolves through the
-// BFC_SYNC environment variable ("channel" default, "barrier" legacy) at
-// engine construction, per instance — tests flip modes in-process.
-enum class SyncMode { kEnv = 0, kChannel, kBarrier };
+// Cross-shard synchronization protocol. Channel clocks are the only one;
+// the one-value type stays because callers (ExperimentConfig::sync, the
+// perfbench harness) still pass it to the constructor.
+enum class SyncMode { kChannel };
 
 // Per-entity sequence numbers live in two disjoint spaces: *setup*
 // sequences (fault installation, flow prepare/stream starts) count from 0,
 // *runtime* sequences (everything a handler or closure posts while the
 // clock runs) carry this base bit. Splitting the spaces is what lets a
 // streamed flow start — drawn on demand mid-run — mint the exact key the
-// eager pre-seeded path would have minted, without the two paths racing
+// pre-seeded prepare_flow path would have minted, without the two racing
 // for one counter. Setup events have always been created before any
 // runtime event of the same entity, so tagging runtime keys above every
 // setup key preserves the historical (at, key) order bit for bit.
@@ -205,9 +192,8 @@ class Shard {
   ColdNode* cold_slot() { return cold().alloc(); }
 
   // Schedules `e` on the shard owning `dst_node`. A cross-shard post must
-  // land at least one channel lookahead (barrier mode: one global
-  // lookahead) ahead of this shard's clock; a violation would silently
-  // break determinism, so it aborts instead.
+  // land at least one channel lookahead ahead of this shard's clock; a
+  // violation would silently break determinism, so it aborts instead.
   void post(Event* e, int dst_node);
 
   // Schedules `e` on this shard (the common self/same-shard case).
@@ -253,9 +239,9 @@ class Shard {
   std::uint64_t events_run_ = 0;
   std::uint64_t events_stolen_ = 0;
   std::vector<std::pair<std::uint64_t, Time>> completions_;
-  // Work-stealing state (channel mode): the widest window that keeps a
-  // locality group independent of its neighbors, the group -> batch slot
-  // map for the window being split, and the reusable batches.
+  // Work-stealing state: the widest window that keeps a locality group
+  // independent of its neighbors, the group -> batch slot map for the
+  // window being split, and the reusable batches.
   Time steal_cap_ = 0;
   std::vector<int> group_slot_;  // global group id -> active batch, or -1
   std::vector<std::unique_ptr<StealBatch>> batches_;
@@ -275,10 +261,10 @@ class ShardedSimulator {
   // Partitions `topo` across `n_shards` shards using the topology's
   // pod/ToR grouping (greedy heaviest-group-first by host count). The
   // per-pair channel lookahead matrix is the all-pairs shortest-path
-  // closure of the minimum link delay between each shard pair; the global
-  // (barrier) lookahead is its off-diagonal minimum, as before.
+  // closure of the minimum link delay between each shard pair; lookahead()
+  // is its off-diagonal minimum. `sync` has one value (see SyncMode).
   ShardedSimulator(const TopoGraph& topo, int n_shards,
-                   SyncMode mode = SyncMode::kEnv);
+                   SyncMode sync = SyncMode::kChannel);
 
   ShardedSimulator(const ShardedSimulator&) = delete;
   ShardedSimulator& operator=(const ShardedSimulator&) = delete;
@@ -297,10 +283,7 @@ class ShardedSimulator {
                            static_cast<std::size_t>(n_shards()) +
                        static_cast<std::size_t>(dst)];
   }
-  SyncMode sync() const { return mode_; }
-  const char* sync_name() const {
-    return mode_ == SyncMode::kBarrier ? "barrier" : "channel";
-  }
+  const char* sync_name() const { return "channel"; }
   bool steal_enabled() const { return steal_on_; }
   // Helper executors a threaded channel run starts next to its shard
   // workers: usable_cores() - S clamped to [0, S] with stealing on, else 0.
@@ -352,23 +335,14 @@ class ShardedSimulator {
   friend class Shard;
   friend class Snapshot;  // checkpoint/restore of seq_/wheels/transport
 
-  struct Mailbox {
-    Event* head = nullptr;
-    Event* tail = nullptr;
-  };
   // Per-shard published channel clock, one cache line each: the only
-  // cross-thread state on the channel-mode hot path.
+  // cross-thread state on the hot path.
   struct alignas(64) PubClock {
     std::atomic<Time> t{0};
   };
   enum class Step { kFinished, kRan, kBlocked };
 
-  // --- barrier mode (legacy reference path) ---
-  void worker_barrier(int s, Time stop);
-  void drain_mailboxes(int s);
-  void barrier_wait();
-
-  // --- channel mode ---
+  // --- channel clocks ---
   void worker_channel(int s, Time stop);
   // Helper executor `executor` (>= S): claims offered batches until every
   // shard worker of this run_until has returned.
@@ -391,7 +365,7 @@ class ShardedSimulator {
                    static_cast<std::size_t>(dst)];
   }
 
-  // --- work stealing (channel mode) ---
+  // --- work stealing ---
   int group_of_event(const Event* e) const;
   void split_window(Shard& sh, Time w0, Time h, Time stop);
   void execute_batch(StealBatch& b, int executor);
@@ -403,21 +377,18 @@ class ShardedSimulator {
                                         int dst_shard, Time from,
                                         Time bound) const;
 
-  // Moves every in-flight cross-shard event into its destination wheel
-  // (rings + producer overflows in channel mode, mailboxes in barrier
-  // mode). Only legal while the engine is idle; the snapshot codec calls
-  // it so the saved wheels are the complete pending-event set.
+  // Moves every in-flight cross-shard event (rings and producer-side
+  // overflows) into its destination wheel. Only legal while the engine is
+  // idle; the snapshot codec calls it so the saved wheels are the complete
+  // pending-event set.
   void drain_transport_for_snapshot();
 
   std::vector<int> shard_of_;
   std::vector<std::uint32_t> seq_;  // runtime space: nodes, then shard envs
   std::vector<std::uint32_t> setup_seq_;  // setup space: nodes only
   std::vector<std::unique_ptr<Shard>> shards_;
-  std::vector<Mailbox> mbox_;      // barrier mode; index src * S + dst
-  std::vector<Time> next_time_;    // per-shard earliest pending, at barrier
   Time lookahead_ = 0;
   int n_nodes_ = 0;
-  SyncMode mode_ = SyncMode::kChannel;
 
   std::vector<Time> chan_delay_;   // S*S per-pair lookahead (closure)
   std::unique_ptr<PubClock[]> clock_;  // per-shard published channel clock
@@ -437,9 +408,6 @@ class ShardedSimulator {
   std::vector<StealBatch*> steal_board_;
   std::atomic<int> hungry_{0};
   std::atomic<int> workers_live_{0};  // shard workers not yet returned
-
-  std::atomic<int> barrier_arrived_{0};
-  std::atomic<std::uint64_t> barrier_gen_{0};
 
   std::unique_ptr<obs::Telemetry> telemetry_;
 };

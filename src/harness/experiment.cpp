@@ -8,67 +8,20 @@
 #include "core/snapshot.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "sim/env_knob.hpp"
 
 namespace bfc {
 
 double bench_scale() {
-  static const double scale = [] {
-    const char* env = std::getenv("BFC_BENCH_SCALE");
-    if (env == nullptr || *env == '\0') return 1.0;
-    char* end = nullptr;
-    const double v = std::strtod(env, &end);
-    if (end == env || *end != '\0') {
-      // Same convention as SizeDist::by_name: a typo must not silently
-      // become a (wildly different) default.
-      std::fprintf(stderr, "bench_scale: BFC_BENCH_SCALE='%s' is not a "
-                           "number\n", env);
-      std::abort();
-    }
-    if (v < 0.001) return 0.001;
-    if (v > 100.0) return 100.0;
-    return v;
-  }();
+  static const double scale = env_double("BFC_BENCH_SCALE", 1.0, 0.001, 100.0);
   return scale;
 }
 
 int default_shards() {
-  static const int shards = [] {
-    const char* env = std::getenv("BFC_SHARDS");
-    if (env == nullptr || *env == '\0') return 1;
-    char* end = nullptr;
-    const long v = std::strtol(env, &end, 10);
-    if (end == env || *end != '\0') {
-      // Same convention as bench_scale: a typo must not silently become a
-      // different experiment.
-      std::fprintf(stderr, "default_shards: BFC_SHARDS='%s' is not an "
-                           "integer\n", env);
-      std::abort();
-    }
-    if (v < 1) return 1;
-    if (v > 256) return 256;
-    return static_cast<int>(v);
-  }();
+  static const int shards =
+      static_cast<int>(env_long("BFC_SHARDS", 1, 1, 256));
   return shards;
 }
-
-namespace {
-
-// BFC_EAGER_TRACE: -1 unset, else 0/1. Same abort-on-typo convention as
-// bench_scale — a typo must not silently flip the generator mode.
-int eager_trace_env() {
-  static const int v = [] {
-    const char* env = std::getenv("BFC_EAGER_TRACE");
-    if (env == nullptr || *env == '\0') return -1;
-    if (env[0] == '0' && env[1] == '\0') return 0;
-    if (env[0] == '1' && env[1] == '\0') return 1;
-    std::fprintf(stderr, "experiment: BFC_EAGER_TRACE='%s' is not 0 or 1\n",
-                 env);
-    std::abort();
-  }();
-  return v;
-}
-
-}  // namespace
 
 std::vector<SizeBin> paper_size_bins() {
   // Half-decade edges starting at 10^2.45 — the short-flow band the paper
@@ -121,8 +74,6 @@ ExperimentRun::ExperimentRun(const TopoGraph& topo,
   shards_ = cfg_.shards > 0 ? cfg_.shards : default_shards();
   horizon_ = cfg_.traffic.stop + cfg_.drain;
   period_ = cfg_.buffer_sample_period < 1 ? 1 : cfg_.buffer_sample_period;
-  const int env_eager = eager_trace_env();
-  eager_ = env_eager < 0 ? cfg_.eager_trace : env_eager != 0;
   gen_window_ = cfg_.gen_window < 1 ? 1 : cfg_.gen_window;
   // Resolve the fault schedule into a member (Network keeps a pointer, so
   // it must outlive net_): the scripted plan when given, else the
@@ -147,48 +98,45 @@ ExperimentRun::ExperimentRun(const TopoGraph& topo,
   // per-entity sequence numbers, so their position in the setup order is
   // part of the determinism contract (always before flow preparation).
   net_->install_faults(faults_);
-  if (eager_) {
-    // Materialized path: flows are pre-derived from the (open-loop)
-    // arrival trace and activated by per-NIC events, so a multi-shard run
-    // starts them without any cross-shard calls. Kept behind
-    // eager_trace/BFC_EAGER_TRACE as the streaming differential's
-    // reference.
-    for (const FlowArrival& a : generate_trace(topo_, cfg_.traffic)) {
-      net_->prepare_flow(a.key, a.bytes, a.uid, a.incast, a.at);
-    }
-  } else {
-    // Streaming path: one generator replica per host-owning shard. The
-    // first window is emitted inline here (exactly where the eager path
-    // prepared its flows, so the setup-space sequence numbers line up);
-    // the rest is pulled window-by-window by shard-pinned pump closures.
-    const Time stop = cfg_.traffic.stop;
-    streams_.resize(static_cast<std::size_t>(sim_->n_shards()));
-    for (int s = 0; s < sim_->n_shards(); ++s) {
-      bool owns_host = false;
-      for (const Nic* nic : net_->nics()) {
-        if (sim_->shard_of(nic->id()) == s) { owns_host = true; break; }
-      }
-      if (!owns_host) continue;
-      auto& stream = streams_[static_cast<std::size_t>(s)];
-      stream = std::make_unique<ArrivalStream>(topo_, cfg_.traffic);
-      stream->advance(std::min(gen_window_, stop),
-                      [this, s](const FlowArrival& a) {
-                        if (sim_->shard_of(static_cast<int>(a.key.src)) == s) {
-                          net_->stream_flow(a.key, a.bytes, a.uid, a.incast,
-                                            a.at);
-                        }
-                      });
-    }
-  }
+  // Trace generation: one generator replica per host-owning shard. The
+  // first window is emitted inline here (the setup-space sequence numbers
+  // of these flow starts follow the fault events'); the rest is pulled
+  // window-by-window by shard-pinned pump closures, posted after the
+  // samplers: at a shared tick the env order is buffer, goodput, pump — in
+  // the restore path too.
+  open_streams(std::min(gen_window_, cfg_.traffic.stop),
+               /*emit_arrivals=*/true);
   seed_samplers(/*resume_after=*/-1);
-  if (!eager_ && gen_window_ < cfg_.traffic.stop) {
-    // Pump closures post after the samplers: at a shared tick the env
-    // order is buffer, goodput, pump — in the restore path too.
-    for (int s = 0; s < sim_->n_shards(); ++s) {
-      if (streams_[static_cast<std::size_t>(s)] == nullptr) continue;
-      const Time b = gen_window_;
-      sim_->shard(s).post_closure(b, [this, s, b] { pump(s, b); });
+  post_pumps(gen_window_);
+}
+
+void ExperimentRun::emit(int s, const FlowArrival& a) {
+  if (sim_->shard_of(static_cast<int>(a.key.src)) == s) {
+    net_->stream_flow(a.key, a.bytes, a.uid, a.incast, a.at);
+  }
+}
+
+void ExperimentRun::open_streams(Time covered, bool emit_arrivals) {
+  streams_.resize(static_cast<std::size_t>(sim_->n_shards()));
+  for (int s = 0; s < sim_->n_shards(); ++s) {
+    bool owns_host = false;
+    for (const Nic* nic : net_->nics()) {
+      if (sim_->shard_of(nic->id()) == s) { owns_host = true; break; }
     }
+    if (!owns_host) continue;
+    auto& stream = streams_[static_cast<std::size_t>(s)];
+    stream = std::make_unique<ArrivalStream>(topo_, cfg_.traffic);
+    stream->advance(covered, [this, s, emit_arrivals](const FlowArrival& a) {
+      if (emit_arrivals) emit(s, a);
+    });
+  }
+}
+
+void ExperimentRun::post_pumps(Time b) {
+  if (b >= cfg_.traffic.stop) return;
+  for (int s = 0; s < sim_->n_shards(); ++s) {
+    if (streams_[static_cast<std::size_t>(s)] == nullptr) continue;
+    sim_->shard(s).post_closure(b, [this, s, b] { pump(s, b); });
   }
 }
 
@@ -196,11 +144,7 @@ void ExperimentRun::pump(int s, Time b) {
   const Time stop = cfg_.traffic.stop;
   const Time upto = std::min(b + gen_window_, stop);
   streams_[static_cast<std::size_t>(s)]->advance(
-      upto, [this, s](const FlowArrival& a) {
-        if (sim_->shard_of(static_cast<int>(a.key.src)) == s) {
-          net_->stream_flow(a.key, a.bytes, a.uid, a.incast, a.at);
-        }
-      });
+      upto, [this, s](const FlowArrival& a) { emit(s, a); });
   if (upto < stop) {
     const Time nb = b + gen_window_;
     sim_->shard(s).post_closure(nb, [this, s, nb] { pump(s, nb); });
@@ -269,11 +213,9 @@ std::unique_ptr<ExperimentRun> ExperimentRun::restore(
     return nullptr;
   }
   run->cursor_ = cp.at;
-  if (cp.eager_trace != run->eager_ ||
-      (!run->eager_ && cp.gen_window != run->gen_window_)) {
+  if (cp.gen_window != run->gen_window_) {
     if (error != nullptr) {
-      *error = "checkpoint trace-generation mode (eager_trace/gen_window) "
-               "does not match the restore config";
+      *error = "checkpoint gen_window does not match the restore config";
     }
     return nullptr;
   }
@@ -302,18 +244,13 @@ std::unique_ptr<ExperimentRun> ExperimentRun::restore(
           : 0;
   // Streaming pump ticks executed by cp.at on each host-owning shard:
   // pumps sit at k*gen_window for k >= 1 while k*gen_window < stop.
-  std::uint64_t pump_ticks = 0;
-  if (!run->eager_) {
-    const Time stop = cfg.traffic.stop;
-    const std::uint64_t ran =
-        static_cast<std::uint64_t>(cp.at / run->gen_window_);
-    const Time last = stop - 1;  // largest boundary strictly before stop
-    const std::uint64_t exist =
-        last >= run->gen_window_
-            ? static_cast<std::uint64_t>(last / run->gen_window_)
-            : 0;
-    pump_ticks = std::min(ran, exist);
-  }
+  const Time stop = cfg.traffic.stop;
+  const Time last = stop - 1;  // largest boundary strictly before stop
+  const std::uint64_t pump_ticks = std::min(
+      static_cast<std::uint64_t>(cp.at / run->gen_window_),
+      last >= run->gen_window_
+          ? static_cast<std::uint64_t>(last / run->gen_window_)
+          : 0);
   for (int s = 0; s < run->sim_->n_shards(); ++s) {
     bool owns_switch = false;
     for (const Switch* sw : run->net_->switches()) {
@@ -335,27 +272,9 @@ std::unique_ptr<ExperimentRun> ExperimentRun::restore(
   // discarded. C is the coverage invariant of the pump cadence: the pump
   // at floor(cp.at/H)*H (or the ctor's inline window) already emitted
   // through the *next* boundary, clamped to stop.
-  if (!run->eager_) {
-    const Time stop = cfg.traffic.stop;
-    const Time b_next = (cp.at / run->gen_window_ + 1) * run->gen_window_;
-    const Time covered = std::min(b_next, stop);
-    run->streams_.resize(static_cast<std::size_t>(run->sim_->n_shards()));
-    for (int s = 0; s < run->sim_->n_shards(); ++s) {
-      bool owns_host = false;
-      for (const Nic* nic : run->net_->nics()) {
-        if (run->sim_->shard_of(nic->id()) == s) { owns_host = true; break; }
-      }
-      if (!owns_host) continue;
-      auto& stream = run->streams_[static_cast<std::size_t>(s)];
-      stream = std::make_unique<ArrivalStream>(run->topo_, cfg.traffic);
-      stream->advance(covered, /*sink=*/nullptr);
-      if (covered < stop) {
-        ExperimentRun* rp = run.get();
-        run->sim_->shard(s).post_closure(
-            b_next, [rp, s, b_next] { rp->pump(s, b_next); });
-      }
-    }
-  }
+  const Time b_next = (cp.at / run->gen_window_ + 1) * run->gen_window_;
+  run->open_streams(std::min(b_next, stop), /*emit_arrivals=*/false);
+  run->post_pumps(b_next);
   return run;
 }
 
@@ -374,7 +293,6 @@ WarmCheckpoint ExperimentRun::checkpoint() {
   cp.at = cursor_;
   cp.image = Snapshot::save(*sim_, *net_, cursor_);
   cp.buffer_prefix = series_;
-  cp.eager_trace = eager_;
   cp.gen_window = gen_window_;
   // Fold the per-shard goodput series into per-tick totals so the prefix
   // is meaningful at any restore-side shard count.

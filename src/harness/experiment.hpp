@@ -20,12 +20,12 @@
 
 namespace bfc {
 
-// BFC_BENCH_SCALE (default 1.0) multiplies every bench's simulated
-// duration; CI smoke runs set it to ~0.05.
+// BFC_BENCH_SCALE (default 1.0, range [0.001, 100]) multiplies every
+// bench's simulated duration; CI smoke runs set it to ~0.05.
 double bench_scale();
 
 // Engine shard count for run_experiment when ExperimentConfig::shards is 0:
-// the BFC_SHARDS env var, default 1.
+// the BFC_SHARDS env var in [1, 256], default 1.
 int default_shards();
 
 // A flow-size histogram bin: holds the FCT slowdowns of completed flows
@@ -54,8 +54,7 @@ struct ExperimentConfig {
   Time drain = milliseconds(2);  // run past traffic.stop for completions
   Time buffer_sample_period = microseconds(10);
   int shards = 0;  // engine shards; 0 = BFC_SHARDS env (default 1)
-  // Cross-shard sync protocol; kEnv = BFC_SYNC env (default channel).
-  SyncMode sync = SyncMode::kEnv;
+  SyncMode sync = SyncMode::kChannel;  // the only protocol (see SyncMode)
   // Fault plane: link flaps / node failures injected as pre-seeded engine
   // events (core/fault.hpp). Installed right after Network construction;
   // an empty plan is a no-op. The config (and thus the plan) must outlive
@@ -65,15 +64,13 @@ struct ExperimentConfig {
   // bytes (summed over NICs) every period — the graceful-degradation
   // benches derive goodput-vs-time and recovery latency from it.
   Time goodput_sample_period = 0;
-  // Trace generation mode. The default streams arrivals: each host-owning
-  // shard replays the generator lazily, one gen_window at a time, and
-  // activates only its own sources — O(shards) generator state instead of
-  // a materialized arrival vector (the term that dominated harness RSS at
-  // 16k+ hosts). Both modes draw from the same RNG streams and mint
-  // identical event keys, so results are bit-identical (the differential
-  // test pins this); eager_trace=true keeps the materialized path.
-  // BFC_EAGER_TRACE=0/1 overrides for A/B without a rebuild.
-  bool eager_trace = false;
+  // Trace generation streams arrivals: each host-owning shard replays the
+  // generator lazily, one gen_window at a time, and activates only its own
+  // sources — O(shards) generator state instead of a materialized arrival
+  // vector (the term that dominated harness RSS at 16k+ hosts). It draws
+  // from the same RNG streams and mints the same event keys as
+  // generate_trace + Network::prepare_flow, so results are bit-identical
+  // to that materialized schedule (tests/test_streaming_trace.cpp).
   Time gen_window = microseconds(50);
 };
 
@@ -111,10 +108,11 @@ struct ExperimentResult {
   std::uint64_t events_processed = 0;
   std::vector<std::uint64_t> shard_events;  // events run per shard
   double wall_sec = 0;
-  // Sync-protocol telemetry. `sync` names the resolved protocol;
-  // events_stolen / inbox_overflows describe scheduling, not simulation,
-  // so determinism checks must NOT compare them (they legitimately vary
-  // run to run under work stealing).
+  // Sync-protocol telemetry. `sync` names the protocol ("channel", the
+  // only one; fig15's BENCH rows carry it); events_stolen /
+  // inbox_overflows describe scheduling, not simulation, so determinism
+  // checks must NOT compare them (they legitimately vary run to run under
+  // work stealing).
   std::string sync;
   int helpers = 0;  // helper executors beside the shard workers
   std::uint64_t events_stolen = 0;
@@ -160,11 +158,9 @@ struct WarmCheckpoint {
   // Per-tick delivered-payload totals (already summed over shards, so the
   // prefix is meaningful at any restore-side shard count).
   std::vector<std::int64_t> goodput_prefix;
-  // Generator mode the checkpoint was taken under. The restore side must
-  // match: the modes mint the same event keys but consume the per-shard
-  // generator replicas differently, so a silent switch would desync the
-  // stream fast-forward.
-  bool eager_trace = false;
+  // Generator window the checkpoint was taken under. The restore side must
+  // match: the pump cadence fixes which arrivals the image already covers,
+  // so a silent switch would desync the stream fast-forward.
   Time gen_window = 0;
 };
 
@@ -185,8 +181,9 @@ class ExperimentRun {
 
   // Warm start: fresh engine/network at cfg.shards, state from cp. The
   // config must describe the same experiment the checkpoint was taken
-  // from (snapshot fingerprint enforces it); only the shard count and
-  // sync mode may differ. Returns nullptr and sets *error on mismatch.
+  // from (snapshot fingerprint enforces it, and gen_window must match);
+  // only the shard count may differ. Returns nullptr and sets *error on
+  // mismatch.
   static std::unique_ptr<ExperimentRun> restore(const TopoGraph& topo,
                                                 const ExperimentConfig& cfg,
                                                 const WarmCheckpoint& cp,
@@ -215,6 +212,15 @@ class ExperimentRun {
   // pump) is part of the determinism contract — it fixes the env-entity
   // event order.
   void seed_samplers(Time resume_after);
+  // Builds one generator replica per host-owning shard and advances it
+  // through `covered`, starting the flows its shard owns when
+  // `emit_arrivals` (a cold start's first window) or discarding them (the
+  // prefix a warm start's image already holds).
+  void open_streams(Time covered, bool emit_arrivals);
+  // Posts each replica's first pump closure at `b`, unless b >= stop.
+  void post_pumps(Time b);
+  // Starts arrival `a` if shard `s` owns its source.
+  void emit(int s, const FlowArrival& a);
   // Streaming pump, run as a shard-s closure at window boundary `b`:
   // advances that shard's generator replica to min(b + gen_window_, stop),
   // activates the arrivals it owns, and re-posts itself for the next
@@ -225,7 +231,6 @@ class ExperimentRun {
   ExperimentConfig cfg_;
   FaultPlan faults_;  // resolved plan; outlives net_ (declared before it)
   int shards_ = 1;
-  bool eager_ = false;     // cfg_.eager_trace after the env override
   Time gen_window_ = 1;
   Time horizon_ = 0;
   Time period_ = 1;
@@ -238,10 +243,10 @@ class ExperimentRun {
   std::vector<std::vector<double>> series_;              // per switch
   std::vector<std::vector<std::int64_t>> gseries_;       // per shard
   std::vector<std::int64_t> goodput_prefix_;             // warm runs only
-  // Streaming mode: one generator replica per host-owning shard (null
-  // elsewhere). Each replica replays the full trace and filters to its
-  // shard's sources, so the per-source arrival order — and thus every
-  // minted event key — matches the eager path exactly.
+  // One generator replica per host-owning shard (null elsewhere). Each
+  // replica replays the full trace and filters to its shard's sources, so
+  // the per-source arrival order — and thus every minted event key —
+  // matches the materialized generate_trace schedule exactly.
   std::vector<std::unique_ptr<ArrivalStream>> streams_;
 };
 

@@ -3,49 +3,23 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <thread>
+
+#include "sim/env_knob.hpp"
 
 namespace bfc {
 
 bool SweepServer::resident_enabled() {
-  static const bool on = [] {
-    const char* env = std::getenv("BFC_RESIDENT");
-    if (env == nullptr || *env == '\0' || std::strcmp(env, "0") == 0) {
-      return false;
-    }
-    if (std::strcmp(env, "1") == 0) return true;
-    // Same convention as BFC_STEAL/BFC_COOP: "false" or "yes" must not
-    // silently pick a mode.
-    std::fprintf(stderr, "SweepServer: BFC_RESIDENT='%s' is neither '0' "
-                         "nor '1'\n", env);
-    std::abort();
-  }();
+  static const bool on = env_switch("BFC_RESIDENT", false);
   return on;
 }
 
 int SweepServer::jobs() {
   static const int n = [] {
-    const char* env = std::getenv("BFC_RESIDENT_JOBS");
-    if (env != nullptr && *env != '\0') {
-      char* end = nullptr;
-      const long v = std::strtol(env, &end, 10);
-      if (end == env || *end != '\0') {
-        // Same convention as bench_scale: a typo must not silently become
-        // a different parallelism (and thus different wall numbers).
-        std::fprintf(stderr, "SweepServer: BFC_RESIDENT_JOBS='%s' is not "
-                             "an integer\n", env);
-        std::abort();
-      }
-      if (v < 1) return 1;
-      if (v > 64) return 64;
-      return static_cast<int>(v);
-    }
     const unsigned hw = std::thread::hardware_concurrency();
-    if (hw == 0) return 1;
-    return static_cast<int>(hw > 8 ? 8 : hw);
+    const long def = hw == 0 ? 1 : (hw > 8 ? 8 : static_cast<long>(hw));
+    return static_cast<int>(env_long("BFC_RESIDENT_JOBS", def, 1, 64));
   }();
   return n;
 }

@@ -1,39 +1,8 @@
 #include "obs/metrics.hpp"
 
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include "sim/env_knob.hpp"
 
 namespace bfc::obs {
-
-namespace {
-
-// Same contract as the engine's knob parsing (sharded_sim.cpp): a
-// malformed value aborts loudly instead of silently running a different
-// configuration than the operator asked for.
-long env_long(const char* name, long fallback, long lo, long hi) {
-  const char* env = std::getenv(name);
-  if (env == nullptr || *env == '\0') return fallback;
-  char* end = nullptr;
-  const long v = std::strtol(env, &end, 10);
-  if (end == env || *end != '\0' || v < lo || v > hi) {
-    std::fprintf(stderr, "obs: %s='%s' is not an integer in [%ld, %ld]\n",
-                 name, env, lo, hi);
-    std::abort();
-  }
-  return v;
-}
-
-bool env_switch(const char* name, bool fallback) {
-  const char* env = std::getenv(name);
-  if (env == nullptr || *env == '\0') return fallback;
-  if (std::strcmp(env, "0") == 0) return false;
-  if (std::strcmp(env, "1") == 0) return true;
-  std::fprintf(stderr, "obs: %s='%s' must be 0 or 1\n", name, env);
-  std::abort();
-}
-
-}  // namespace
 
 Telemetry::Telemetry(const Config& cfg, int n_shards) : cfg_(cfg) {
   shards_.reserve(static_cast<std::size_t>(n_shards));

@@ -1,13 +1,11 @@
-// Differential oracle for the channel-clock engine: the legacy global
-// barrier (BFC_SYNC=barrier) and the per-link channel-clock protocol must
-// produce bit-identical simulations at every shard count. The barrier
-// path is the oracle — it survived five PRs of determinism testing — so
-// any divergence is a channel-clock bug by construction.
+// Differential oracle for the channel-clock engine: every shard count
+// must reproduce the 1-shard run bit for bit. The 1-shard run is the
+// reference because run_until short-circuits S == 1 before any sync code
+// (one wheel, no rings, clocks or stealing), so any divergence at S > 1
+// is a channel-clock bug by construction.
 //
-// Also covers the execution-mode axes the protocol has to be insensitive
-// to: cooperative (single-thread round-robin) vs threaded scheduling,
-// and BFC_SYNC env resolution vs the explicit ExperimentConfig::sync
-// override.
+// Also covers the execution-mode axis the protocol has to be insensitive
+// to: cooperative (single-thread round-robin) vs threaded scheduling.
 #include <cstdlib>
 
 #include "harness/experiment.hpp"
@@ -18,11 +16,10 @@ using namespace bfc;
 
 namespace {
 
-ExperimentResult run_with(const TopoGraph& topo, Scheme scheme, int shards,
-                          SyncMode sync) {
+ExperimentResult run_with(const TopoGraph& topo, Scheme scheme,
+                          int shards) {
   ExperimentConfig cfg;
   cfg.scheme = scheme;
-  cfg.sync = sync;
   cfg.traffic.dist = &SizeDist::by_name("google");
   cfg.traffic.load = 0.5;
   cfg.traffic.incast_load = 0.05;
@@ -60,74 +57,35 @@ void check_same_schedule(const ExperimentResult& a,
 }
 
 void check_scheme(const TopoGraph& topo, Scheme scheme) {
-  const ExperimentResult oracle = run_with(topo, scheme, 1,
-                                           SyncMode::kBarrier);
+  const ExperimentResult oracle = run_with(topo, scheme, 1);
   CHECK(oracle.flows_started > 0);
   CHECK(oracle.flows_completed > 0);
-  CHECK(oracle.sync == "barrier");
 
-  // Channel clocks at every shard count vs the 1-shard barrier oracle.
+  // Channel clocks at every shard count vs the 1-shard oracle.
   for (const int shards : {1, 2, 4, 8}) {
-    const ExperimentResult r = run_with(topo, scheme, shards,
-                                        SyncMode::kChannel);
+    const ExperimentResult r = run_with(topo, scheme, shards);
     CHECK(r.sync == "channel");
     CHECK(r.shards == shards);
     check_identical(oracle, r);
   }
-
-  // Barrier and channel runs at the SAME shard count share the partition,
-  // so even the per-shard event counts must line up: the protocol decides
-  // when a shard may run, never what it runs.
-  const ExperimentResult b4 = run_with(topo, scheme, 4, SyncMode::kBarrier);
-  const ExperimentResult c4 = run_with(topo, scheme, 4, SyncMode::kChannel);
-  check_identical(b4, c4);
-  check_same_schedule(b4, c4);
-  check_identical(oracle, b4);
 }
 
 // Cooperative round-robin and threaded workers drive the same clocks to
 // the same fixed points; only wall-clock may differ.
 void check_coop_threaded_parity(const TopoGraph& topo) {
   setenv("BFC_COOP", "1", 1);
-  const ExperimentResult coop = run_with(topo, Scheme::kBfc, 4,
-                                         SyncMode::kChannel);
+  const ExperimentResult coop = run_with(topo, Scheme::kBfc, 4);
   setenv("BFC_COOP", "0", 1);
-  const ExperimentResult threaded = run_with(topo, Scheme::kBfc, 4,
-                                             SyncMode::kChannel);
+  const ExperimentResult threaded = run_with(topo, Scheme::kBfc, 4);
   unsetenv("BFC_COOP");
   check_identical(coop, threaded);
   check_same_schedule(coop, threaded);
 }
 
-// ExperimentConfig::sync = kEnv resolves through BFC_SYNC per engine
-// instance, so tests (and the differential rig) can flip protocols
-// in-process.
-void check_env_resolution(const TopoGraph& topo) {
-  setenv("BFC_SYNC", "barrier", 1);
-  const ExperimentResult b = run_with(topo, Scheme::kBfc, 2, SyncMode::kEnv);
-  CHECK(b.sync == "barrier");
-  setenv("BFC_SYNC", "channel", 1);
-  const ExperimentResult c = run_with(topo, Scheme::kBfc, 2, SyncMode::kEnv);
-  CHECK(c.sync == "channel");
-  unsetenv("BFC_SYNC");
-  const ExperimentResult d = run_with(topo, Scheme::kBfc, 2, SyncMode::kEnv);
-  CHECK(d.sync == "channel");  // channel is the default
-  check_identical(b, c);
-  check_identical(b, d);
-  // An explicit config mode wins over a contradicting environment.
-  setenv("BFC_SYNC", "barrier", 1);
-  const ExperimentResult e = run_with(topo, Scheme::kBfc, 2,
-                                      SyncMode::kChannel);
-  unsetenv("BFC_SYNC");
-  CHECK(e.sync == "channel");
-  check_identical(b, e);
-}
-
 }  // namespace
 
 int main() {
-  // The rig assumes it owns the sync/scheduling knobs.
-  unsetenv("BFC_SYNC");
+  // The rig assumes it owns the scheduling knobs.
   unsetenv("BFC_COOP");
   unsetenv("BFC_STEAL");
   const TopoGraph topo = TopoGraph::three_tier(ThreeTierConfig::t3_small());
@@ -135,6 +93,5 @@ int main() {
   // DCQCN exercises the per-node ECN-marking RNGs across protocols.
   check_scheme(topo, Scheme::kDcqcnWin);
   check_coop_threaded_parity(topo);
-  check_env_resolution(topo);
   return 0;
 }

@@ -50,8 +50,8 @@ void check_scheme(const TopoGraph& topo, Scheme scheme) {
   CHECK(one.flows_started > 0);
   CHECK(one.flows_completed > 0);
   // Re-running at 1 shard is trivially reproducible; 2, 4, and 8 shards
-  // cross the mailbox/lookahead machinery and must still match bit for
-  // bit.
+  // cross the channel-clock/lookahead machinery and must still match bit
+  // for bit.
   check_identical(one, run_with_shards(topo, scheme, 1));
   const ExperimentResult two = run_with_shards(topo, scheme, 2);
   CHECK(two.shards == 2);

@@ -18,11 +18,11 @@
 // obs/flight_recorder.hpp and tests/test_flight_replay.cpp).
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 
 #include "core/fault.hpp"
 #include "harness/experiment.hpp"
 #include "obs/flight_recorder.hpp"
+#include "sim/env_knob.hpp"
 
 #include "test_util.hpp"
 
@@ -300,36 +300,22 @@ void faulted_sweep() {
               static_cast<long long>(ref.unreachable_parks));
 }
 
-long env_long(const char* name, long fallback) {
-  const char* env = std::getenv(name);
-  if (env == nullptr || *env == '\0') return fallback;
-  char* end = nullptr;
-  const long v = std::strtol(env, &end, 10);
-  if (end == env || *end != '\0') {
-    std::fprintf(stderr, "test_determinism_fuzz: %s='%s' is not an "
-                         "integer\n", name, env);
-    std::abort();
-  }
-  return v;
-}
-
 }  // namespace
 
 int main() {
-  unsetenv("BFC_SYNC");
   // Arm the flight recorder for every case; it records scheduling-neutral
   // (at, key) pairs, so the determinism comparison itself doubles as a
   // continuous proof that recording never perturbs the simulation.
   setenv("BFC_FLIGHT", "256", 1);
   unsetenv("BFC_METRICS");
   unsetenv("BFC_TRACE");
-  const long replay = env_long("BFC_FUZZ_CASE", -1);
+  const long replay = env_long("BFC_FUZZ_CASE", -1, 0, 1L << 30);
   if (replay >= 0) {
     run_one(static_cast<int>(replay));
     std::printf("replayed case %ld: OK\n", replay);
     return 0;
   }
-  const long n = env_long("BFC_FUZZ_CASES", kDefaultCases);
+  const long n = env_long("BFC_FUZZ_CASES", kDefaultCases, 0, 1L << 30);
   for (int i = 0; i < n; ++i) run_one(i);
   faulted_sweep();
   std::printf("%ld cases: OK\n", n);

@@ -293,9 +293,8 @@ void test_inbox_ring() {
   for (Event* e : owned) pool.release(e);
 }
 
-ExperimentResult run_small(int shards, SyncMode sync) {
+ExperimentResult run_small(int shards) {
   ExperimentConfig cfg;
-  cfg.sync = sync;
   cfg.traffic.dist = &SizeDist::by_name("google");
   cfg.traffic.load = 0.5;
   cfg.traffic.incast_load = 0.05;
@@ -337,7 +336,7 @@ std::pair<int, int> steal_executor_range(const char* path) {
 }
 
 // Work-stealing stranding: with stealing forced on every window, stats
-// must stay bit-identical to the barrier oracle (the engine hard-aborts
+// must stay bit-identical to the 1-shard oracle (the engine hard-aborts
 // if a stolen batch ever executes an event outside its window, so the
 // window invariant is checked by running at all), and some steals must
 // actually happen — a rig that never steals tests nothing. Both kinds of
@@ -348,7 +347,7 @@ void test_steal_stranding() {
   const int shards = 2;
   const int helpers =
       std::clamp(ShardedSimulator::usable_cores() - shards, 0, shards);
-  const ExperimentResult oracle = run_small(1, SyncMode::kBarrier);
+  const ExperimentResult oracle = run_small(1);
   const char* trace_path = "test_engine_steal_trace.json";
   setenv("BFC_STEAL", "1", 1);
   setenv("BFC_STEAL_THRESHOLD", "1", 1);
@@ -361,7 +360,7 @@ void test_steal_stranding() {
   // times for both kinds of claim, checking determinism on every attempt.
   for (int attempt = 0; attempt < 8 && !(by_worker && by_helper);
        ++attempt) {
-    const ExperimentResult got = run_small(shards, SyncMode::kChannel);
+    const ExperimentResult got = run_small(shards);
     CHECK(got.sync == "channel");
     CHECK(got.helpers == helpers);
     check_stats_equal(oracle, got);
@@ -385,9 +384,9 @@ void test_steal_stranding() {
 // virtually every exchange, so the whole run rides the overflow FIFO and
 // the clock caps that make it invisible-but-safe. Stats must not move.
 void test_tiny_ring_full_sim() {
-  const ExperimentResult oracle = run_small(1, SyncMode::kBarrier);
+  const ExperimentResult oracle = run_small(1);
   setenv("BFC_INBOX_RING_CAP", "2", 1);
-  const ExperimentResult got = run_small(4, SyncMode::kChannel);
+  const ExperimentResult got = run_small(4);
   unsetenv("BFC_INBOX_RING_CAP");
   check_stats_equal(oracle, got);
   CHECK(got.inbox_overflows > 0);

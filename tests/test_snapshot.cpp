@@ -17,8 +17,9 @@
 //     version bump.
 //   * Reject, never crash — seeded byte mutants of a small image are either
 //     refused with a diagnostic or restore and re-save cleanly.
-//   * SweepServer — warm shard sweeps and batches match cold runs, and a
-//     malformed BFC_RESIDENT aborts instead of picking a mode.
+//   * SweepServer — warm shard sweeps and batches match cold runs.
+//   * Env knobs — a malformed or out-of-range BFC_RESIDENT, BFC_SHARDS or
+//     engine knob aborts instead of picking a mode.
 #include "core/snapshot.hpp"
 
 #include <algorithm>
@@ -406,24 +407,35 @@ void check_sweep_server(const TopoGraph& topo) {
   }
 }
 
-// BFC_RESIDENT accepts only unset, "", "0" or "1"; anything else aborts
-// with a message. resident_enabled() caches its answer, so every value is
-// read in its own forked child.
-void check_resident_env() {
+// Env knobs (sim/env_knob.hpp) accept only unset, "" or a well-formed
+// in-range value; anything else aborts with a message. BFC_RESIDENT and
+// BFC_SHARDS cache their answer, so every value is read in its own forked
+// child, which also builds a 2-shard engine to read the engine knobs.
+void check_resident_env(const TopoGraph& topo) {
   struct Case {
+    const char* knob;
     const char* value;  // null = unset
     int exit_code;      // -1 = must abort
   };
-  const Case cases[] = {{nullptr, 0}, {"", 0},      {"0", 0},   {"1", 1},
-                        {"false", -1}, {"true", -1}, {"01", -1}, {"2", -1}};
+  const Case cases[] = {
+      {"BFC_RESIDENT", nullptr, 0},     {"BFC_RESIDENT", "", 0},
+      {"BFC_RESIDENT", "0", 0},         {"BFC_RESIDENT", "1", 1},
+      {"BFC_RESIDENT", "false", -1},    {"BFC_RESIDENT", "true", -1},
+      {"BFC_RESIDENT", "01", -1},       {"BFC_RESIDENT", "2", -1},
+      {"BFC_INBOX_RING_CAP", "2", 0},   {"BFC_INBOX_RING_CAP", "1", -1},
+      {"BFC_STEAL_THRESHOLD", "1", 0},  {"BFC_STEAL_THRESHOLD", "0", -1},
+      {"BFC_SHARDS", "1", 0},           {"BFC_SHARDS", "0", -1},
+      {"BFC_STEAL", "yes", -1}};
   for (const Case& c : cases) {
     const pid_t pid = fork();
     if (pid == 0) {
       if (c.value == nullptr) {
-        unsetenv("BFC_RESIDENT");
+        unsetenv(c.knob);
       } else {
-        setenv("BFC_RESIDENT", c.value, 1);
+        setenv(c.knob, c.value, 1);
       }
+      (void)default_shards();
+      const ShardedSimulator sim(topo, 2);
       std::_Exit(SweepServer::resident_enabled() ? 1 : 0);
     }
     CHECK(pid > 0);
@@ -440,8 +452,8 @@ void check_resident_env() {
 }  // namespace
 
 int main() {
-  check_resident_env();
   const TopoGraph topo = TopoGraph::three_tier(ThreeTierConfig::t3_small());
+  check_resident_env(topo);
   check_continuation(topo, /*storm=*/false);
   check_continuation(topo, /*storm=*/true);
   check_layout_independence(topo);

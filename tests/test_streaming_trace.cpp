@@ -1,11 +1,11 @@
 // Streaming-vs-materialized trace differential: the lazy per-shard
-// ArrivalStream pullers must reproduce the eager generate_trace schedule
+// ArrivalStream pullers must reproduce the generate_trace schedule
 // exactly — same arrivals in the same order at any window size — and a
-// streamed experiment must report bit-identical end-to-end stats to an
-// eager one at every shard count. This is the oracle that lets streaming
-// be the default: the materialized path survived six PRs of determinism
-// testing, so any divergence is a streaming bug by construction.
-#include <cstdlib>
+// streamed experiment must report bit-identical end-to-end stats, at
+// every shard count, to that schedule materialized up front: every flow
+// prepared with Network::prepare_flow on a bare 1-shard engine before the
+// clock starts. This is the oracle that lets streaming be the only trace
+// path: any divergence is a streaming bug by construction.
 #include <vector>
 
 #include "harness/experiment.hpp"
@@ -33,43 +33,81 @@ TrafficConfig traffic(Time stop, std::uint64_t seed) {
 // element for element.
 void check_trace_identity(const char* name, const TopoGraph& topo,
                           const TrafficConfig& cfg, Time window) {
-  const std::vector<FlowArrival> eager = generate_trace(topo, cfg);
-  CHECK(!eager.empty());
+  const std::vector<FlowArrival> materialized = generate_trace(topo, cfg);
+  CHECK(!materialized.empty());
   ArrivalStream stream(topo, cfg);
   std::vector<FlowArrival> streamed;
   const auto sink = [&](const FlowArrival& a) { streamed.push_back(a); };
   for (Time b = 0; b < cfg.stop; b += window) {
     stream.advance(std::min(b + window, cfg.stop), sink);
   }
-  CHECK(streamed.size() == eager.size());
+  CHECK(streamed.size() == materialized.size());
   Time prev = 0;
-  for (std::size_t i = 0; i < eager.size(); ++i) {
-    CHECK(streamed[i].at == eager[i].at);
-    CHECK(streamed[i].key == eager[i].key);
-    CHECK(streamed[i].bytes == eager[i].bytes);
-    CHECK(streamed[i].uid == eager[i].uid);
-    CHECK(streamed[i].incast == eager[i].incast);
+  for (std::size_t i = 0; i < materialized.size(); ++i) {
+    CHECK(streamed[i].at == materialized[i].at);
+    CHECK(streamed[i].key == materialized[i].key);
+    CHECK(streamed[i].bytes == materialized[i].bytes);
+    CHECK(streamed[i].uid == materialized[i].uid);
+    CHECK(streamed[i].incast == materialized[i].incast);
     CHECK(streamed[i].at >= prev);  // start order, like the trace
     prev = streamed[i].at;
   }
   std::printf("trace identity ok: %s (%zu arrivals, window %.1f us)\n", name,
-              eager.size(), to_usec(window));
+              materialized.size(), to_usec(window));
 }
 
-ExperimentResult run_mode(const TopoGraph& topo, int shards, bool eager) {
+ExperimentConfig experiment(int shards) {
   ExperimentConfig cfg;
   cfg.scheme = Scheme::kBfc;
   cfg.traffic = traffic(microseconds(150), 7);
   cfg.drain = microseconds(450);
   cfg.shards = shards;
-  cfg.eager_trace = eager;
   cfg.gen_window = microseconds(20);  // several pump windows per run
-  return run_experiment(topo, cfg);
+  return cfg;
+}
+
+// The materialized reference for experiment(1): the whole trace prepared
+// before the clock starts, the buffer series sampled by sim.at closures
+// (tick-major, switch order — the harness's layout), and the compared
+// stats read straight off the Network.
+ExperimentResult run_materialized(const TopoGraph& topo) {
+  const ExperimentConfig cfg = experiment(1);
+  ShardedSimulator sim(topo, 1);
+  Network net(sim, topo, cfg.scheme, cfg.overrides);
+  for (const FlowArrival& a : generate_trace(topo, cfg.traffic)) {
+    net.prepare_flow(a.key, a.bytes, a.uid, a.incast, a.at);
+  }
+  ExperimentResult r;
+  const Time horizon = cfg.traffic.stop + cfg.drain;
+  for (Time t = 0; t <= horizon; t += cfg.buffer_sample_period) {
+    sim.at(t, [&r, &net] {
+      for (const Switch* sw : net.switches()) {
+        r.buffer_samples_mb.push_back(
+            static_cast<double>(sw->buffer_used()) / 1e6);
+      }
+    });
+  }
+  sim.run_until(horizon);
+  net.flow_stats().apply_tags();
+  r.flows_started = net.flow_stats().started();
+  r.flows_completed = net.flow_stats().completed();
+  r.drops = net.switch_totals().drops;
+  r.bfc = net.bfc_totals();
+  r.collision_frac = net.collision_frac();
+  r.bins = paper_size_bins();
+  fill_slowdowns(net.flow_stats(), net.ideal_fct_fn(), r.bins);
+  r.p99_slowdown = bin_percentiles(r.bins, 99);
+  for (const Switch* sw : net.switches()) r.table_chunks += sw->table_chunks();
+  for (const Nic* nic : net.nics()) {
+    r.receiver_slots_hw += nic->receiver_slots_hw();
+    r.nic_class_transitions += nic->flow_index().transitions();
+  }
+  return r;
 }
 
 // Simulation-level stats only: streaming adds its pump closures to the
-// env entity, so engine event *counts* legitimately differ between the
-// modes — what must not differ is anything the simulation computed.
+// env entity, so engine event *counts* legitimately differ from the
+// reference — what must not differ is anything the simulation computed.
 void check_identical(const ExperimentResult& a, const ExperimentResult& b) {
   CHECK(a.flows_started == b.flows_started);
   CHECK(a.flows_completed == b.flows_completed);
@@ -90,28 +128,17 @@ void check_identical(const ExperimentResult& a, const ExperimentResult& b) {
 }
 
 void check_experiment_identity(const char* name, const TopoGraph& topo) {
-  const ExperimentResult oracle = run_mode(topo, 1, /*eager=*/true);
+  const ExperimentResult oracle = run_materialized(topo);
   CHECK(oracle.flows_started > 0);
   CHECK(oracle.flows_completed > 0);
   for (const int shards : {1, 2, 4}) {
-    const ExperimentResult streamed = run_mode(topo, shards, /*eager=*/false);
+    const ExperimentResult streamed =
+        run_experiment(topo, experiment(shards));
     CHECK(streamed.shards == shards);
     check_identical(oracle, streamed);
   }
   std::printf("experiment identity ok: %s (%llu flows, shards 1/2/4)\n", name,
               static_cast<unsigned long long>(oracle.flows_completed));
-}
-
-// The BFC_EAGER_TRACE env override must win over the config field in both
-// directions (it exists for A/B runs without a rebuild).
-void check_env_override(const TopoGraph& topo) {
-  setenv("BFC_EAGER_TRACE", "1", 1);
-  const ExperimentResult forced_eager = run_mode(topo, 2, /*eager=*/false);
-  setenv("BFC_EAGER_TRACE", "0", 1);
-  const ExperimentResult forced_stream = run_mode(topo, 2, /*eager=*/true);
-  unsetenv("BFC_EAGER_TRACE");
-  check_identical(forced_eager, forced_stream);
-  std::printf("BFC_EAGER_TRACE override ok\n");
 }
 
 }  // namespace
@@ -128,6 +155,5 @@ int main() {
   }
   check_experiment_identity("t1_128", t1);
   check_experiment_identity("t3_1024", t3);
-  check_env_override(t1);
   return 0;
 }

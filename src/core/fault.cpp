@@ -20,9 +20,14 @@ std::uint64_t next_rand(std::uint64_t& state) {
   return z ^ (z >> 31);
 }
 
-// BFC_FAULT_* knobs: any non-negative integer.
-long fault_env_long(const char* name, long fallback) {
-  return env_long(name, fallback, 0, std::numeric_limits<long>::max());
+// Upper bound of the BFC_FAULT_*_US knobs: 10^12 us (about 11.6 days of
+// simulated time). In ns each is at most 10^15, so the plan's sums and
+// spans (down + hold, hi - lo + 1) stay far inside Time.
+constexpr long kMaxFaultUs = 1'000'000'000'000L;
+
+// A BFC_FAULT_*_US knob in ns.
+Time fault_env_us(const char* name, long fallback) {
+  return microseconds(env_long(name, fallback, 0, kMaxFaultUs));
 }
 
 // Appends (t, state) to a per-link/per-node history, enforcing the
@@ -131,19 +136,20 @@ FaultPlan FaultPlan::random_flaps(const TopoGraph& topo, int n_flaps, Time lo,
 }
 
 FaultPlan FaultPlan::from_env(const TopoGraph& topo, Time stop) {
-  const long flaps = fault_env_long("BFC_FAULT_FLAPS", 0);
+  const long flaps = env_long("BFC_FAULT_FLAPS", 0, 0,
+                              std::numeric_limits<int>::max());
   if (flaps <= 0) return FaultPlan{};
-  const std::uint64_t seed = static_cast<std::uint64_t>(
-      fault_env_long("BFC_FAULT_SEED", 1));
-  const Time lo = microseconds(fault_env_long(
-      "BFC_FAULT_LO_US", to_usec(stop) > 4 ? static_cast<long>(
-          to_usec(stop) / 4) : 1));
-  const Time hi = microseconds(fault_env_long(
-      "BFC_FAULT_HI_US", to_usec(stop) > 2 ? static_cast<long>(
-          3 * to_usec(stop) / 4) : 1));
-  const Time hold = microseconds(fault_env_long(
-      "BFC_FAULT_HOLD_US", to_usec(stop) > 8 ? static_cast<long>(
-          to_usec(stop) / 8) : 1));
+  const std::uint64_t seed = static_cast<std::uint64_t>(env_long(
+      "BFC_FAULT_SEED", 1, 0, std::numeric_limits<long>::max()));
+  const Time lo = fault_env_us(
+      "BFC_FAULT_LO_US",
+      to_usec(stop) > 4 ? static_cast<long>(to_usec(stop) / 4) : 1);
+  const Time hi = fault_env_us(
+      "BFC_FAULT_HI_US",
+      to_usec(stop) > 2 ? static_cast<long>(3 * to_usec(stop) / 4) : 1);
+  const Time hold = fault_env_us(
+      "BFC_FAULT_HOLD_US",
+      to_usec(stop) > 8 ? static_cast<long>(to_usec(stop) / 8) : 1);
   return random_flaps(topo, static_cast<int>(flaps), lo, hi, hold, seed);
 }
 

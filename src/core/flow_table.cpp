@@ -34,7 +34,7 @@ FlowTable::FlowTable(int n_slots, int ways, int overflow_slots)
   n_buckets_ = slots / static_cast<std::size_t>(ways_);
   if (n_buckets_ == 0) n_buckets_ = 1;
   // Chunk directory only: no entry memory until a flow hashes in.
-  banks_.resize((n_buckets_ + kChunkBuckets - 1) / kChunkBuckets);
+  chunks_.resize((n_buckets_ + kChunkBuckets - 1) / kChunkBuckets);
 }
 
 std::size_t FlowTable::bucket_of(std::uint32_t vfid, int egress,
@@ -42,24 +42,27 @@ std::size_t FlowTable::bucket_of(std::uint32_t vfid, int egress,
   return key_hash(vfid, egress, prio) % n_buckets_;
 }
 
-std::size_t FlowTable::chunk_buckets(std::size_t ci) const {
-  const std::size_t start = ci * kChunkBuckets;
-  const std::size_t n = n_buckets_ - start;
-  return n < kChunkBuckets ? n : kChunkBuckets;
+FlowTable::Chunk& FlowTable::chunk_for(std::size_t bucket) {
+  std::unique_ptr<Chunk>& c = chunks_[bucket / kChunkBuckets];
+  if (c == nullptr) {
+    c = std::make_unique<Chunk>();
+    ++n_chunks_;
+  }
+  return *c;
 }
 
-FlowTable::Bank& FlowTable::bank_for(std::size_t bucket) {
-  Bank& b = banks_[bucket / kChunkBuckets];
-  if (b.entries == nullptr) {
-    const std::size_t nb = chunk_buckets(bucket / kChunkBuckets);
-    entry_blocks_.push_back(std::make_unique<FlowEntry[]>(
-        nb * static_cast<std::size_t>(ways_)));
-    chain_blocks_.push_back(std::make_unique<FlowEntry*[]>(nb));
-    b.entries = entry_blocks_.back().get();
-    b.chain = chain_blocks_.back().get();
-    for (std::size_t i = 0; i < nb; ++i) b.chain[i] = nullptr;
+std::size_t FlowTable::pool_block_buckets() const {
+  return n_buckets_ < kPoolBuckets ? n_buckets_ : kPoolBuckets;
+}
+
+FlowEntry* FlowTable::take_bucket() {
+  const std::size_t per_block = pool_block_buckets();
+  const std::size_t ways = static_cast<std::size_t>(ways_);
+  if (pool_free_ == 0) {
+    pool_.push_back(std::make_unique<FlowEntry[]>(per_block * ways));
+    pool_free_ = per_block;
   }
-  return b;
+  return pool_.back().get() + (per_block - pool_free_--) * ways;
 }
 
 void FlowTable::ensure_overflow() {
@@ -75,13 +78,10 @@ void FlowTable::ensure_overflow() {
 }
 
 std::size_t FlowTable::allocated_bytes() const {
-  // Tail chunks can be short, but sizing every chunk at the full width
-  // is an upper bound good enough for footprint reporting.
-  const std::size_t per_chunk =
-      kChunkBuckets * static_cast<std::size_t>(ways_) * sizeof(FlowEntry) +
-      kChunkBuckets * sizeof(FlowEntry*);
-  return banks_.capacity() * sizeof(Bank) +
-         entry_blocks_.size() * per_chunk +
+  return chunks_.capacity() * sizeof(chunks_[0]) + n_chunks_ * sizeof(Chunk) +
+         pool_.capacity() * sizeof(pool_[0]) +
+         pool_.size() * pool_block_buckets() *
+             static_cast<std::size_t>(ways_) * sizeof(FlowEntry) +
          overflow_.capacity() * sizeof(FlowEntry);
 }
 
@@ -89,16 +89,17 @@ FlowEntry* FlowTable::acquire(std::uint32_t vfid, int egress, int prio,
                               bool& created) {
   created = false;
   const std::size_t b = bucket_of(vfid, egress, prio);
-  Bank& bank = bank_for(b);
+  Chunk& c = chunk_for(b);
   const std::size_t local = b % kChunkBuckets;
-  FlowEntry* base = bank.entries + local * static_cast<std::size_t>(ways_);
+  FlowEntry*& base = c.ways[local];
+  if (base == nullptr) base = take_bucket();
   FlowEntry* empty = nullptr;
   for (int w = 0; w < ways_; ++w) {
     FlowEntry& e = base[w];
     if (matches(e, vfid, egress, prio)) return &e;
     if (!e.in_use && empty == nullptr) empty = &e;
   }
-  for (FlowEntry* e = bank.chain[local]; e != nullptr; e = e->next) {
+  for (FlowEntry* e = c.chain[local]; e != nullptr; e = e->next) {
     if (matches(*e, vfid, egress, prio)) return e;
   }
   if (empty == nullptr) {
@@ -110,8 +111,8 @@ FlowEntry* FlowTable::acquire(std::uint32_t vfid, int egress, int prio,
     }
     empty = free_overflow_;
     free_overflow_ = empty->next;
-    empty->next = bank.chain[local];
-    bank.chain[local] = empty;
+    empty->next = c.chain[local];
+    c.chain[local] = empty;
   }
   empty->in_use = true;
   empty->vfid = vfid;
@@ -124,14 +125,15 @@ FlowEntry* FlowTable::acquire(std::uint32_t vfid, int egress, int prio,
 
 FlowEntry* FlowTable::find(std::uint32_t vfid, int egress, int prio) {
   const std::size_t b = bucket_of(vfid, egress, prio);
-  const Bank& bank = banks_[b / kChunkBuckets];
-  if (bank.entries == nullptr) return nullptr;  // never materialized
+  const Chunk* c = chunks_[b / kChunkBuckets].get();
+  if (c == nullptr) return nullptr;  // chunk never materialized
   const std::size_t local = b % kChunkBuckets;
-  FlowEntry* base = bank.entries + local * static_cast<std::size_t>(ways_);
+  FlowEntry* base = c->ways[local];
+  if (base == nullptr) return nullptr;  // bucket never touched
   for (int w = 0; w < ways_; ++w) {
     if (matches(base[w], vfid, egress, prio)) return &base[w];
   }
-  for (FlowEntry* e = bank.chain[local]; e != nullptr; e = e->next) {
+  for (FlowEntry* e = c->chain[local]; e != nullptr; e = e->next) {
     if (matches(*e, vfid, egress, prio)) return e;
   }
   return nullptr;
@@ -150,8 +152,7 @@ void FlowTable::erase(FlowEntry* e) {
   if (!overflow_.empty() && e >= overflow_.data() &&
       e < overflow_.data() + overflow_.size()) {
     const std::size_t b = bucket_of(e->vfid, e->egress, e->prio);
-    Bank& bank = bank_for(b);
-    FlowEntry** pp = &bank.chain[b % kChunkBuckets];
+    FlowEntry** pp = &chunks_[b / kChunkBuckets]->chain[b % kChunkBuckets];
     while (*pp != nullptr && *pp != e) pp = &(*pp)->next;
     if (*pp == e) *pp = e->next;
     reset_entry(*e);

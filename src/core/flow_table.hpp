@@ -8,13 +8,17 @@
 // exhausted: the caller falls back to a static queue and counts an overflow
 // packet (Fig. 13).
 //
-// Storage is a lazily-materialized chunk slab: buckets group into chunks of
-// 64, and a chunk's entry array (plus its overflow-chain heads) is only
-// allocated when the first flow hashes into it. The *capacity* contract is
-// unchanged — bounded, nothing evicted while in use — but a switch that
-// never sees traffic holds no entry memory at all, which is what lets a
-// 16384-host fabric construct every switch up front. Chunks are never
-// released (a switch that was busy stays warm); `allocated_chunks()` /
+// Storage is materialized in two lazy levels. Buckets group into chunks of
+// 64; a chunk (~1 KB: 64 bucket pointers plus 64 overflow-chain heads) is
+// allocated when the first flow hashes into it, and a bucket's `ways`
+// entries only when a flow first hashes into that bucket. Bucket entries
+// are carved from pool blocks the table owns (kPoolBuckets buckets each),
+// so there is no per-bucket malloc and an entry never moves. The
+// *capacity* contract is unchanged — bounded, nothing evicted while in
+// use — but memory follows the buckets flows touch, not the hash spread:
+// a switch that never sees traffic holds no entry memory at all, and one
+// flow costs a chunk plus one bucket, not 64 buckets. Nothing is released
+// (a switch that was busy stays warm); `allocated_chunks()` /
 // `allocated_bytes()` expose the footprint to tests and reports.
 #pragma once
 
@@ -70,41 +74,46 @@ class FlowTable {
   }
   std::int64_t overflow_rejects() const { return rejects_; }
 
-  // Lazy-slab introspection (idle-footprint assertions, reports).
-  std::size_t allocated_chunks() const { return entry_blocks_.size(); }
+  // Lazy-storage introspection (idle-footprint assertions, reports).
+  std::size_t allocated_chunks() const { return n_chunks_; }
   std::size_t allocated_bytes() const;
+
+  // Buckets per entry pool block (fewer when the table has fewer
+  // buckets). At 4 ways a block is ~3.5 KB: few enough mallocs that a
+  // busy table's blocks stay cheap, small enough that the one partly used
+  // block is the only slack.
+  static constexpr std::size_t kPoolBuckets = 16;
 
  private:
   friend class Snapshot;  // checkpoint/restore (chunk set, rejects_)
 
   // 64 buckets per chunk: at the default geometry (16384 VFIDs, 4 ways)
-  // a chunk is ~23 KB and a switch has 64 of them, materialized only as
-  // flows hash in.
+  // a switch has 64 chunks, materialized only as flows hash in.
   static constexpr std::size_t kChunkBuckets = 64;
 
-  // The chunk directory holds raw array pointers *by value* (a "bank"),
-  // not pointers to chunk objects: the hot path's lookup is one load
-  // from a ~1 KB always-hot directory plus the entry index — the same
-  // depth as the old monolithic array, laziness costing one extra load
-  // instead of two.
-  struct Bank {
-    FlowEntry* entries = nullptr;  // n_buckets-in-chunk * ways
-    FlowEntry** chain = nullptr;   // per-bucket overflow chain head
+  // A materialized chunk. The hot path's lookup is the directory load,
+  // the bucket pointer, then the entries: one load deeper than a
+  // monolithic array.
+  struct Chunk {
+    FlowEntry* ways[kChunkBuckets] = {};   // per bucket; null = untouched
+    FlowEntry* chain[kChunkBuckets] = {};  // per-bucket overflow chain head
   };
 
   std::size_t bucket_of(std::uint32_t vfid, int egress, int prio) const;
-  Bank& bank_for(std::size_t bucket);            // materializes
-  std::size_t chunk_buckets(std::size_t ci) const;
+  Chunk& chunk_for(std::size_t bucket);  // materializes the chunk
+  FlowEntry* take_bucket();              // next `ways` entries from the pool
+  std::size_t pool_block_buckets() const;
   void ensure_overflow();
 
-  std::vector<Bank> banks_;           // chunk directory
-  std::vector<std::unique_ptr<FlowEntry[]>> entry_blocks_;   // owned slabs
-  std::vector<std::unique_ptr<FlowEntry*[]>> chain_blocks_;
+  std::vector<std::unique_ptr<Chunk>> chunks_;  // directory; null = untouched
+  std::vector<std::unique_ptr<FlowEntry[]>> pool_;  // bucket entry blocks
+  std::size_t pool_free_ = 0;         // buckets left in pool_.back()
   std::vector<FlowEntry> overflow_;   // shared spare pool (lazy)
   FlowEntry* free_overflow_ = nullptr;
   int ways_;
   std::size_t n_buckets_;
   std::size_t overflow_slots_;
+  std::size_t n_chunks_ = 0;
   bool overflow_init_ = false;
   std::size_t live_ = 0;
   std::int64_t rejects_ = 0;

@@ -37,9 +37,14 @@ constexpr std::uint64_t kNoFlow = ~std::uint64_t{0};
 // members, and a member's name is the field's wire width whatever its C++
 // type (integers and enums as two's complement, floats as their IEEE
 // bits), so the image is identical across hosts regardless of the
-// compiler's struct layout. Reading is bounds-checked: any overrun or
-// fail() poisons the stream, reads return zero from then on, and
-// restore() reports one error per section instead of crashing mid-decode.
+// compiler's struct layout. The host is little-endian too, so a field is
+// one memcpy of its low bytes and an integer vector one block copy.
+// Reading is bounds-checked: any overrun or fail() poisons the stream,
+// reads return zero from then on, and restore() reports one error per
+// section instead of crashing mid-decode.
+static_assert(__BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__,
+              "the snapshot codec copies little-endian fields verbatim");
+
 template <bool Load>
 class Archive {
  public:
@@ -74,12 +79,20 @@ class Archive {
     if (Load && n > static_cast<std::size_t>(end_ - p_) / min_bytes) fail();
     return ok_ ? n : 0;
   }
-  // A vector of integers: a u64 length, then each element at its size.
+  // A vector of integers: a u64 length, then each element at its size,
+  // copied as one block.
   template <class V>
   void vec(V& v) {
-    const std::size_t n = count(v.size(), 8, sizeof(v[0]));
-    if constexpr (Load) v.resize(n);
-    for (auto& x : v) field(x, sizeof x);
+    using T = typename std::remove_cv_t<V>::value_type;
+    static_assert(std::is_integral_v<T>,
+                  "vec() copies integer elements verbatim");
+    const std::size_t n = count(v.size(), 8, sizeof(T));
+    if constexpr (Load) {
+      v.resize(n);
+      get(v.data(), n * sizeof(T));
+    } else {
+      put(v.data(), n * sizeof(T));
+    }
   }
   std::size_t size() const { return buf_.size(); }
   std::vector<std::uint8_t> take() { return std::move(buf_); }
@@ -94,24 +107,29 @@ class Archive {
         std::is_floating_point_v<U>,
         std::conditional_t<sizeof(U) == 4, std::uint32_t, std::uint64_t>, U>;
     Wire x{};
+    std::uint64_t w = 0;
     if constexpr (Load) {
-      x = static_cast<Wire>(get(width));
+      get(&w, width);
+      x = static_cast<Wire>(w);
       std::memcpy(&v, &x, sizeof x);
     } else {
       std::memcpy(&x, &v, sizeof x);
-      const auto w = static_cast<std::uint64_t>(x);
-      for (std::size_t i = 0; i < width; ++i) buf_.push_back(w >> 8 * i);
+      w = static_cast<std::uint64_t>(x);
+      put(&w, width);
     }
   }
-  std::uint64_t get(std::size_t width) {
-    if (!ok_ || static_cast<std::size_t>(end_ - p_) < width) {
+  void put(const void* src, std::size_t n) {
+    const auto* b = static_cast<const std::uint8_t*>(src);
+    buf_.insert(buf_.end(), b, b + n);
+  }
+  // On overrun (or a poisoned stream) `dst` keeps its zeroed contents.
+  void get(void* dst, std::size_t n) {
+    if (!ok_ || static_cast<std::size_t>(end_ - p_) < n) {
       fail();
-      return 0;
+      return;
     }
-    std::uint64_t w = 0;
-    for (std::size_t i = 0; i < width; ++i) w |= std::uint64_t{p_[i]} << 8 * i;
-    p_ += width;
-    return w;
+    if (n != 0) std::memcpy(dst, p_, n);
+    p_ += n;
   }
 
   std::vector<std::uint8_t> buf_;
@@ -470,15 +488,18 @@ struct Snapshot::Codec {
   // history and chunk placement. Way/overflow placement is NOT encoded:
   // find() is keyed, so placement is behavior-invariant, and restore
   // re-acquires in sorted order. Then the materialized-chunk set and
-  // overflow init: restore force-materializes so the footprint telemetry
-  // (table_chunks) round-trips exactly.
+  // overflow init: restore force-materializes the chunk directories (not
+  // their buckets) so the footprint telemetry (table_chunks) round-trips
+  // exactly.
   static void io(A& a, FlowTable& t, int n_ports) {
     std::vector<FlowEntry*> live;
-    for (std::size_t ci = 0; ci < t.banks_.size(); ++ci) {
-      FlowEntry* entries = t.banks_[ci].entries;
-      const std::size_t n = t.chunk_buckets(ci) * t.ways_;
-      for (std::size_t i = 0; entries != nullptr && i < n; ++i) {
-        if (entries[i].in_use) live.push_back(&entries[i]);
+    for (const auto& chunk : t.chunks_) {
+      for (std::size_t b = 0; chunk != nullptr && b < std::size(chunk->ways);
+           ++b) {
+        FlowEntry* ways = chunk->ways[b];
+        for (int w = 0; ways != nullptr && w < t.ways_; ++w) {
+          if (ways[w].in_use) live.push_back(&ways[w]);
+        }
       }
     }
     for (FlowEntry& e : t.overflow_) {
@@ -507,11 +528,11 @@ struct Snapshot::Codec {
       a.u8(e->paused, e->resume_pending, e->holds_resume_slot);
       if (e->in_port < -1 || e->in_port >= n_ports) a.fail();
     }
-    io_fixed(a, t.banks_.size(), 8);
-    for (std::size_t ci = 0; ci < t.banks_.size() && a.ok(); ++ci) {
-      bool chunk = t.banks_[ci].entries != nullptr;
+    io_fixed(a, t.chunks_.size(), 8);
+    for (std::size_t ci = 0; ci < t.chunks_.size() && a.ok(); ++ci) {
+      bool chunk = t.chunks_[ci] != nullptr;
       a.u8(chunk);
-      if (A::kLoad && chunk) t.bank_for(ci * FlowTable::kChunkBuckets);
+      if (A::kLoad && chunk) t.chunk_for(ci * FlowTable::kChunkBuckets);
     }
     bool overflow = t.overflow_init_;
     a.u8(overflow);

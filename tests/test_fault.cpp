@@ -9,6 +9,8 @@
 #include <cstdlib>
 #include <sys/wait.h>
 #include <unistd.h>
+#include <utility>
+#include <vector>
 
 #include "core/fault.hpp"
 #include "harness/experiment.hpp"
@@ -131,6 +133,51 @@ void env_construction() {
   unsetenv("BFC_FAULT_FLAPS");
   unsetenv("BFC_FAULT_SEED");
   CHECK(FaultPlan::from_env(topo, microseconds(100)).empty());
+
+  // Range contract, one forked child per row (over BFC_FAULT_FLAPS=1): a
+  // value the plan would truncate or overflow in ns must abort, and the
+  // largest accepted values must build a plan without overflowing Time
+  // (UBSan builds trap on signed overflow).
+  struct Case {
+    std::vector<std::pair<const char*, const char*>> env;
+    bool must_abort;
+  };
+  const char* max_us = "1000000000000";
+  const Case cases[] = {
+      {{{"BFC_FAULT_FLAPS", "4294967298"}}, true},
+      {{{"BFC_FAULT_FLAPS", "2147483648"}}, true},
+      {{{"BFC_FAULT_FLAPS", "-1"}}, true},
+      {{{"BFC_FAULT_SEED", "-1"}}, true},
+      {{{"BFC_FAULT_LO_US", "9223372036854775807"}}, true},
+      {{{"BFC_FAULT_HI_US", "1000000000001"}}, true},
+      {{{"BFC_FAULT_HOLD_US", "9223372036854775807"}}, true},
+      {{{"BFC_FAULT_FLAPS", "2147483647"}}, false},
+      {{{"BFC_FAULT_LO_US", max_us},
+        {"BFC_FAULT_HI_US", max_us},
+        {"BFC_FAULT_HOLD_US", max_us}},
+       false},
+      {{{"BFC_FAULT_LO_US", "0"},
+        {"BFC_FAULT_HI_US", max_us},
+        {"BFC_FAULT_HOLD_US", "0"}},
+       false},
+  };
+  for (const Case& c : cases) {
+    const pid_t pid = fork();
+    if (pid == 0) {
+      setenv("BFC_FAULT_FLAPS", "1", 1);
+      for (const auto& [knob, value] : c.env) setenv(knob, value, 1);
+      const FaultPlan p = FaultPlan::from_env(topo, microseconds(100));
+      std::_Exit(p.empty() ? 1 : 0);
+    }
+    CHECK(pid > 0);
+    int status = 0;
+    CHECK(waitpid(pid, &status, 0) == pid);
+    if (c.must_abort) {
+      CHECK(WIFSIGNALED(status) && WTERMSIG(status) == SIGABRT);
+    } else {
+      CHECK(WIFEXITED(status) && WEXITSTATUS(status) == 0);
+    }
+  }
   std::printf("env-driven plan ok\n");
 }
 

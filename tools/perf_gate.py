@@ -45,6 +45,9 @@ Modes:
 Always enforced: nonzero throughput and a clean determinism column.
 The summary header names the current run's host (fig15's "host" stamp:
 CPU model, nproc) and the helper executors each multi-shard row ran with.
+History runs stamped by a different host are left out of the rolling
+throughput window (the gate prints how many); unstamped runs and the
+committed floor still count.
 
 Memory gate: each engine row's peak_rss_kb (VmHWM after the sweep point;
 fig15 rows carry it per (topo, shards)) must stay within --rss-tolerance
@@ -280,11 +283,21 @@ def compare_legs(cold_doc, warm_doc):
     return failures, "\n".join(lines) + "\n"
 
 
+def same_host(a, b):
+    """Whether two host stamps name the same machine. An unstamped side
+    ({}: recorded before the stamp existed) matches anything."""
+    if not a or not b:
+        return True
+    return (a.get("cpu_model"), a.get("nproc")) == \
+        (b.get("cpu_model"), b.get("nproc"))
+
+
 def load_history_file(path):
     """Committed BENCH_history.json: {"runs": [{"scale":..., "topos":
-    {...}}, ...]}, oldest first (every PR appends). Returns a list of
-    (topos, scale). Corrupt or absent files degrade to no history —
-    the gate must never wedge on its own record-keeping."""
+    {...}, "host": {...}}, ...]}, oldest first (every PR appends).
+    Returns a list of (topos, scale, host); host is {} when the run is
+    unstamped. Corrupt or absent files degrade to no history — the gate
+    must never wedge on its own record-keeping."""
     if not path:
         return []
     try:
@@ -296,12 +309,12 @@ def load_history_file(path):
     for run in doc.get("runs", []):
         topos = run.get("topos", {})
         if topos:
-            out.append((topos, run.get("scale")))
+            out.append((topos, run.get("scale"), run.get("host", {})))
     return out
 
 
 def rolling_baseline(committed, history_dir, limit, cur_scale=None,
-                     history_file=None):
+                     history_file=None, cur_host=None):
     """Overlays the committed per-topo baseline with the per-column
     median of the last `limit` history runs. Runs come from the
     committed history file first (oldest) and the cache directory
@@ -309,8 +322,12 @@ def rolling_baseline(committed, history_dir, limit, cur_scale=None,
     the window is the combined tail. History recorded at a different
     BFC_BENCH_SCALE than the current run is skipped — events/sec is
     scale-dependent, so mixing scales would blur the median for the few
-    runs after a workflow scale change. The gated topo surface stays
-    the committed one; history only refreshes the expected values."""
+    runs after a workflow scale change. Likewise history stamped by a
+    different host than `cur_host` is left out (events/sec measures the
+    machine as much as the code); unstamped runs still count. The gated
+    topo surface stays the committed one; history only refreshes the
+    expected values. Returns (effective, n_runs_used,
+    n_runs_dropped_for_host)."""
     entries = list(load_history_file(history_file))
     if history_dir:
         for path in sorted(glob.glob(os.path.join(history_dir, "*.json"))):
@@ -319,10 +336,12 @@ def rolling_baseline(committed, history_dir, limit, cur_scale=None,
             except (OSError, ValueError):
                 continue  # a corrupt cached artifact must not wedge the gate
             if topos:  # an empty artifact must not consume a window slot
-                entries.append((topos, scale))
-    usable = [topos for topos, scale in entries
+                entries.append((topos, scale, load_host(path)))
+    scaled = [(topos, host) for topos, scale, host in entries
               if not (cur_scale is not None and scale is not None
                       and scale != cur_scale)]
+    usable = [topos for topos, host in scaled if same_host(host, cur_host)]
+    dropped = len(scaled) - len(usable)
     usable = usable[-limit:]
     per_col = {}
     for topos in usable:
@@ -335,7 +354,7 @@ def rolling_baseline(committed, history_dir, limit, cur_scale=None,
     for (topo, col), samples in per_col.items():
         if topo in effective and effective[topo].get(col, 0) > 0:
             effective[topo][col] = median(samples)
-    return effective, len(usable)
+    return effective, len(usable), dropped
 
 
 def rss_baseline(committed_rows, committed_scale, history_dir, limit,
@@ -458,11 +477,11 @@ def sparkline(values):
 def render_trajectory(entries, current, cur_scale, limit=8):
     """Per-topo Mev/s trajectory over the committed history plus this
     run, as a markdown table with a sparkline column. `entries` is
-    [(topos, scale)] oldest first (load_history_file's shape); history
-    recorded at a different BFC_BENCH_SCALE is skipped, same rule as the
-    rolling baseline. Returns "" when there is no usable history — a
-    one-point trajectory says nothing."""
-    usable = [topos for topos, scale in entries
+    [(topos, scale, host)] oldest first (load_history_file's shape);
+    history recorded at a different BFC_BENCH_SCALE is skipped, same rule
+    as the rolling baseline. Returns "" when there is no usable history —
+    a one-point trajectory says nothing."""
+    usable = [topos for topos, scale, _ in entries
               if not (cur_scale is not None and scale is not None
                       and scale != cur_scale)]
     if not usable:
@@ -576,7 +595,7 @@ def gate(current, committed, tolerance, calibrate, hard_floor, pr2=None,
 
 
 def render(rows, factor, tolerance, calibrate, cur_scale, base_scale,
-           n_history=0, host=""):
+           n_history=0, host="", n_other_host=0):
     lines = ["## Engine perf trajectory", ""]
     if host:
         lines += [host, ""]
@@ -584,6 +603,9 @@ def render(rows, factor, tolerance, calibrate, cur_scale, base_scale,
             if calibrate else "raw")
     base = (f"rolling median of last {n_history} runs" if n_history
             else "committed baseline")
+    if n_other_host:
+        base += (f" ({n_other_host} history runs from another host left "
+                 "out)")
     lines.append(
         f"Gate: {mode}, tolerance {tolerance:.0%}, baseline: {base}; "
         f"current scale {cur_scale}, committed scale {base_scale}.")
@@ -682,14 +704,15 @@ def self_test():
         put("run-00000002.json", 5_000_000)
         put("run-00000003.json", 4_800_000)   # <- median of the last 3
         put("run-00000004.json", 9_000_000)   # one hot outlier, absorbed
-        effective, n = rolling_baseline(committed, d, 3)
+        effective, n, _ = rolling_baseline(committed, d, 3)
         # A history file recorded at a different scale is skipped, not
         # mixed into the median (events/sec is scale-dependent).
         with open(os.path.join(d, "run-00000005.json"), "w") as f:
             json.dump({"engine": {"scale": 1.0, "topos": {
                 "t1_128": {"shards1_events_per_sec": 50_000_000,
                            "deterministic": True}}}}, f)
-        scaled, n_scaled = rolling_baseline(committed, d, 3, cur_scale=0.05)
+        scaled, n_scaled, _ = rolling_baseline(committed, d, 3,
+                                               cur_scale=0.05)
         assert n_scaled == 3 and scaled["t1_128"][
             "shards1_events_per_sec"] == 5_000_000, \
             "off-scale history must not enter the window"
@@ -710,7 +733,8 @@ def self_test():
                            calibrate=False, hard_floor=0.25)
         assert f_old == [], "...though the stale committed point missed it"
         # An empty/absent history dir degrades to the committed baseline.
-        effective, n = rolling_baseline(committed, os.path.join(d, "none"), 3)
+        effective, n, _ = rolling_baseline(committed,
+                                           os.path.join(d, "none"), 3)
         assert n == 0 and effective == committed
 
     # Multi-shard columns gate like shards1: a scaling-path regression
@@ -770,7 +794,7 @@ def self_test():
                                        "shards8_events_per_sec": 1_500_000,
                                        "deterministic": True}}},
             ]}, f)
-        eff, n = rolling_baseline(committed8, None, 3, history_file=hist)
+        eff, n, _ = rolling_baseline(committed8, None, 3, history_file=hist)
         assert n == 2, "file-only history must fill the window"
         assert eff["t3_4096"]["shards1_events_per_sec"] == 450_000
         assert eff["t3_4096"]["shards8_events_per_sec"] == 1_450_000, \
@@ -783,14 +807,52 @@ def self_test():
             json.dump({"engine": {"topos": {"t3_4096": {
                 "shards1_events_per_sec": 480_000,
                 "deterministic": True}}}}, f)
-        eff, n = rolling_baseline(committed8, cache, 3, history_file=hist)
+        eff, n, _ = rolling_baseline(committed8, cache, 3, history_file=hist)
         assert n == 3, "window = committed history + cache tail"
         assert eff["t3_4096"]["shards1_events_per_sec"] == 460_000, \
             "median of {440k, 460k, 480k} with cache runs newest"
         # A corrupt or absent history file degrades to dir-only history.
-        eff, n = rolling_baseline(committed8, cache, 3,
+        eff, n, _ = rolling_baseline(committed8, cache, 3,
                                   history_file=os.path.join(d, "no.json"))
         assert n == 1
+
+    # Host stamps: history stamped by another machine leaves the rolling
+    # window and is counted; unstamped runs still count, and with every
+    # run left out the committed value stands.
+    with tempfile.TemporaryDirectory() as d:
+        xeon = {"cpu_model": "Xeon", "nproc": 4}
+        epyc = {"cpu_model": "EPYC", "nproc": 64}
+        hist = os.path.join(d, "BENCH_history.json")
+        with open(hist, "w") as f:
+            json.dump({"runs": [
+                {"topos": {"t3_4096": {"shards1_events_per_sec": 400_000}}},
+                {"host": epyc,
+                 "topos": {"t3_4096": {"shards1_events_per_sec": 4_000_000}}},
+            ]}, f)
+        cache = os.path.join(d, "cache")
+        os.mkdir(cache)
+        for name, eps, host in (("run-00000001.json", 500_000, xeon),
+                                ("run-00000002.json", 9_000_000, epyc)):
+            with open(os.path.join(cache, name), "w") as f:
+                json.dump({"engine": {"host": host, "topos": {"t3_4096": {
+                    "shards1_events_per_sec": eps}}}}, f)
+        eff, n, dropped = rolling_baseline(committed8, cache, 3,
+                                           history_file=hist, cur_host=xeon)
+        assert (n, dropped) == (2, 2), "other-host runs leave the window"
+        assert eff["t3_4096"]["shards1_events_per_sec"] == 450_000, \
+            "median of the unstamped 400k and the same-host 500k"
+        eff, n, dropped = rolling_baseline(committed8, cache, 3,
+                                           history_file=hist)
+        assert (n, dropped) == (3, 0), "an unstamped current run drops none"
+        assert eff["t3_4096"]["shards1_events_per_sec"] == 4_000_000
+        eff, n, dropped = rolling_baseline(
+            committed8, cache, 3, cur_host={"cpu_model": "M1", "nproc": 8})
+        assert (n, dropped) == (0, 2) and eff == committed8, \
+            "with no same-host history the committed value stands"
+        assert same_host(xeon, {}) and not same_host(
+            xeon, {"cpu_model": "Xeon", "nproc": 8}), "nproc is part of it"
+        assert "2 history runs from another host left out" in render(
+            [], 1.0, 0.25, False, 0.05, 0.05, n_history=2, n_other_host=2)
 
     # The hard floor stays anchored to the *committed* value even when
     # the rolling median has already drifted far below it: a run inside
@@ -818,10 +880,10 @@ def self_test():
     assert sp[0] == SPARK_CHARS[0] and sp[-1] == SPARK_CHARS[-1], \
         "sparkline normalizes to the series' own range"
     hist_entries = [
-        ({"t1_128": {"shards1_events_per_sec": 4_000_000}}, 0.05),
+        ({"t1_128": {"shards1_events_per_sec": 4_000_000}}, 0.05, {}),
         ({"t1_128": {"shards1_events_per_sec": 4_400_000},
-          "t3_1024": {"shards1_events_per_sec": 2_000_000}}, 0.05),
-        ({"t1_128": {"shards1_events_per_sec": 99_000_000}}, 1.0),
+          "t3_1024": {"shards1_events_per_sec": 2_000_000}}, 0.05, {}),
+        ({"t1_128": {"shards1_events_per_sec": 99_000_000}}, 1.0, {}),
     ]
     cur = {"t1_128": {"shards1_events_per_sec": 4_200_000},
            "t3_1024": {"shards1_events_per_sec": 2_100_000}}
@@ -831,7 +893,7 @@ def self_test():
     assert "99.00" not in traj, "off-scale history must not be plotted"
     assert render_trajectory([], cur, 0.05) == "", "no history -> no table"
     many = [({"t1_128": {"shards1_events_per_sec": 1_000_000 * (i + 1)}},
-             None) for i in range(12)]
+             None, {}) for i in range(12)]
     t2 = render_trajectory(many, cur, 0.05, limit=8)
     assert " 5.00" not in t2 and "12.00" in t2, \
         "trajectory keeps only the window tail"
@@ -1052,9 +1114,12 @@ def main():
     if not current:
         print("perf_gate: no engine.topos in", args.current, file=sys.stderr)
         return 1
-    baseline, n_history = rolling_baseline(committed, args.history,
-                                           args.history_limit, cur_scale,
-                                           history_file=args.history_file)
+    cur_host = load_host(args.current)
+    baseline, n_history, n_other_host = rolling_baseline(
+        committed, args.history, args.history_limit, cur_scale,
+        history_file=args.history_file, cur_host=cur_host)
+    print(f"perf_gate: {n_other_host} history runs from another host left "
+          "out of the throughput window")
 
     optional = frozenset(
         t for t in args.optional_topos.split(",") if t)
@@ -1064,7 +1129,7 @@ def main():
     cur_rows, _ = load_rows(args.current)
     report = render(rows, factor, args.tolerance, args.calibrate,
                     cur_scale, base_scale, n_history,
-                    host_line(load_host(args.current), cur_rows))
+                    host_line(cur_host, cur_rows), n_other_host)
     traj = render_trajectory(load_history_file(args.history_file),
                              current, cur_scale)
     if traj:

@@ -59,7 +59,7 @@ ScaleRow run_one(const char* name, const TopoGraph& topo, int shards,
 #if defined(__GLIBC__)
   // peak_rss_kb is VmHWM, which never drops across rows. Earlier rows'
   // freed heap stays resident in the malloc arena of every thread that
-  // ran them (shard workers and helper executors), so without this a
+  // ran them (executors and helper executors), so without this a
   // row's peak would depend on how many threads the rows before it used.
   malloc_trim(0);
 #endif
@@ -88,9 +88,9 @@ void sweep(const char* name, const TopoGraph& topo, Time stop,
            const std::vector<int>& shard_counts, std::vector<ScaleRow>& all) {
   std::printf("\n[%s] %d hosts, %d nodes, stop=%.0f us\n", name,
               topo.num_hosts(), topo.num_nodes(), to_usec(stop));
-  std::printf("%-8s %8s %14s %12s %12s %14s %6s %10s  %s\n", "shards",
-              "helpers", "events", "wall(s)", "Mevents/s", "flows done", "det",
-              "rss(MB)", "per-shard events");
+  std::printf("%-8s %9s %8s %14s %12s %12s %14s %6s %10s  %s\n", "shards",
+              "executors", "helpers", "events", "wall(s)", "Mevents/s",
+              "flows done", "det", "rss(MB)", "per-shard events");
   // The sweep's first row is the determinism reference (with the default
   // lists that is the 1-shard run; a BFC_FIG15_SHARDS override may start
   // elsewhere — any point works, determinism is pairwise-transitive).
@@ -125,8 +125,8 @@ void sweep(const char* name, const TopoGraph& topo, Time stop,
     } else {
       best_multi_eps = std::max(best_multi_eps, row.events_per_sec);
     }
-    std::printf("%-8d %8d %14llu %12.3f %12.2f %14llu %6s %10.1f  %s\n",
-                shards, row.exp.helpers,
+    std::printf("%-8d %9d %8d %14llu %12.3f %12.2f %14llu %6s %10.1f  %s\n",
+                shards, row.exp.executors, row.exp.helpers,
                 static_cast<unsigned long long>(row.exp.events_processed),
                 row.exp.wall_sec, row.events_per_sec / 1e6,
                 static_cast<unsigned long long>(row.exp.flows_completed),
@@ -199,6 +199,7 @@ void write_json(const std::vector<ScaleRow>& rows) {
     const ScaleRow& r = rows[i];
     body << "      {\"topo\": \"" << r.topo << "\", \"shards\": " << r.shards
          << ", \"sync\": \"" << r.exp.sync << "\""
+         << ", \"executors\": " << r.exp.executors
          << ", \"helpers\": " << r.exp.helpers
          << ", \"events\": " << r.exp.events_processed
          << ", \"wall_sec\": " << r.exp.wall_sec

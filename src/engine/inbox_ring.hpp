@@ -2,9 +2,9 @@
 // engine (engine/sharded_sim.hpp).
 //
 // One ring per ordered shard pair (src, dst). The producer is always the
-// src shard's worker (or the owning shard merging a stolen batch — same
-// thread); the consumer is always the dst shard's worker, so both ends are
-// wait-free single-threaded index bumps. The hot path is an array of
+// executor driving the src shard (which also merges its stolen batches);
+// the consumer is always the executor driving the dst shard, so both ends
+// are wait-free single-threaded index bumps. The hot path is an array of
 // Event* slots the consumer walks sequentially — prefetchable, unlike a
 // pointer-chased list — with head and tail on their own cache lines so the
 // two sides never false-share.
@@ -62,8 +62,8 @@ class InboxRing {
   }
 
   // Moves parked events into the ring as space allows; returns how many
-  // moved (the cooperative scheduler's progress signal — a flush is work
-  // even when no clock rises). The engine calls this before every
+  // moved (progress for the engine's stall check — a flush is work even
+  // when no clock rises). The engine calls this before every
   // channel-clock publication, so a parked event is stuck only while the
   // consumer genuinely has a full ring's worth of undrained events in
   // front of it. A partial flush leaves ovf_min_at_ untouched: stale-low

@@ -275,22 +275,21 @@ ShardedSimulator::ShardedSimulator(const TopoGraph& topo, int n_shards,
     clock_ = std::make_unique<PubClock[]>(static_cast<std::size_t>(S));
   }
 
-  // Work stealing: only meaningful in threaded runs. The steal
-  // window cap per shard is the fastest intra-shard inter-group
-  // interaction: either a direct same-shard link between two groups, or a
-  // round trip that physically leaves the shard and comes back (the ack
-  // shortcut can compress such a path into one event).
+  // Thread layout from one core count: min(S, cores) executors (see
+  // run_executor), stealing on by default only with a second core, and a
+  // helper (see run_helper) per core beyond S, capped at S: every helper
+  // polls steal_mu_, and one per shard (2 beside 2 on 4 cores) is the
+  // layout measured. The steal window cap per shard is the fastest
+  // intra-shard inter-group interaction: either a direct same-shard link
+  // between two groups, or a round trip that physically leaves the shard
+  // and comes back (the ack shortcut can compress such a path into one
+  // event).
+  const int cores = usable_cores();
+  executors_ = std::clamp(cores, 1, S);
   steal_threshold_ = static_cast<std::size_t>(
       env_long("BFC_STEAL_THRESHOLD", 256, 1, 1L << 30));
-  const unsigned hw = std::thread::hardware_concurrency();
-  steal_on_ = S > 1 && env_switch("BFC_STEAL", hw > 1);
-  coop_ = !steal_on_ && env_switch("BFC_COOP", hw <= 1);
-  // One helper executor (see run_helper) per core the S shard threads
-  // leave over, capped at S. Every helper polls steal_mu_, which owners
-  // also take to post, claim and erase batches; one helper per shard
-  // worker (2 beside 2 shards on 4 cores) is the layout measured, and
-  // more pollers than that is unmeasured contention.
-  helpers_ = steal_on_ ? std::clamp(usable_cores() - S, 0, S) : 0;
+  steal_on_ = S > 1 && env_switch("BFC_STEAL", cores > 1);
+  helpers_ = steal_on_ ? std::clamp(cores - S, 0, S) : 0;
   for (int s = 0; s < S; ++s) {
     Time cap = kTimeInf;
     for (int m = 0; m < S; ++m) {
@@ -408,7 +407,7 @@ bool ShardedSimulator::publish_clock(int s, Time eit) {
   if (eit < b) b = eit;
   // Progress here means either the published clock rises or parked
   // overflow events move into a ring. The latter matters for the
-  // cooperative scheduler's stall detector: with a tiny ring, whole
+  // one-executor stall check in run_executor: with a tiny ring, whole
   // passes can advance purely by cycling events overflow -> ring ->
   // neighbor wheel while every clock stays capped — that is real
   // progress, not a protocol deadlock.
@@ -463,16 +462,14 @@ bool ShardedSimulator::overflow_clear(int s, Time stop) {
 }
 
 ShardedSimulator::Step ShardedSimulator::channel_step(int s, Time stop,
-                                                      bool threaded,
-                                                      bool* clock_moved) {
+                                                      bool* moved) {
   Shard& sh = *shards_[static_cast<std::size_t>(s)];
   obs::ShardObs* o = sh.obs_;
   int peer = -1;
   const Time eit =  // acquire: orders the drain below
       earliest_inbound(s, o != nullptr ? &peer : nullptr);
   const std::size_t drained = drain_rings(s);
-  const bool moved = publish_clock(s, eit);
-  if (clock_moved != nullptr) *clock_moved = moved || drained > 0;
+  *moved = publish_clock(s, eit) || drained > 0;
   const Time h = eit > stop ? stop + 1 : eit;
   const Time wmin = sh.wheel_.min_time();
   if (wmin < h) {
@@ -487,7 +484,7 @@ ShardedSimulator::Step ShardedSimulator::channel_step(int s, Time stop,
               t1 - o->wait_t0);
       o->waiting = false;
     }
-    if (steal_on_ && threaded && sh.steal_cap_ > 0 &&
+    if (steal_on_ && sh.steal_cap_ > 0 &&
         hungry_.load(std::memory_order_relaxed) > 0 &&
         sh.wheel_.size() >= steal_threshold_) {
       split_window(sh, wmin, h, stop);
@@ -521,17 +518,34 @@ ShardedSimulator::Step ShardedSimulator::channel_step(int s, Time stop,
     o->wait_peer = peer;
     o->count(obs::kClockWaits);
   }
-  if (threaded && steal_on_ && try_steal_one(s)) return Step::kRan;
+  if (steal_on_ && try_steal_one(s)) return Step::kRan;
   return Step::kBlocked;
 }
 
-void ShardedSimulator::worker_channel(int s, Time stop) {
+void ShardedSimulator::run_executor(int k, Time stop) {
+  // Same results at any T: the clocks don't care who advances them.
+  const int S = n_shards();
+  const int T = executors_;
+  std::vector<char> done(static_cast<std::size_t>(S), 0);
+  int remaining = (S - k + T - 1) / T;
   int idle = 0;
   bool hungry = false;
-  for (;;) {
-    const Step r = channel_step(s, stop, /*threaded=*/true, nullptr);
-    if (r == Step::kFinished) break;
-    if (r == Step::kRan) {
+  while (remaining > 0) {
+    bool ran = false;
+    bool progress = false;
+    for (int s = k; s < S; s += T) {
+      if (done[static_cast<std::size_t>(s)]) continue;
+      bool moved = false;
+      const Step r = channel_step(s, stop, &moved);
+      if (r == Step::kFinished) {
+        done[static_cast<std::size_t>(s)] = 1;
+        --remaining;
+      }
+      ran = ran || r == Step::kRan;
+      progress = progress || r != Step::kBlocked || moved;
+    }
+    if (remaining == 0) break;
+    if (ran) {
       idle = 0;
       if (hungry) {
         hungry_.fetch_sub(1, std::memory_order_relaxed);
@@ -539,9 +553,20 @@ void ShardedSimulator::worker_channel(int s, Time stop) {
       }
       continue;
     }
-    // Blocked on a neighbor's clock: advertise hunger so hot shards split
-    // their windows, then back off (oversubscribed boxes need the quantum
-    // more than we need the spin).
+    if (T == 1 && !progress) {
+      // Every shard is on this thread and a full round moved nothing: the
+      // clocks reached a fixed point with events pending, so the lookahead
+      // matrix admitted an interaction it shouldn't have. (With T > 1
+      // another executor may still be about to move a clock.)
+      std::fprintf(stderr,
+                   "ShardedSimulator: channel clocks stalled with %d shards "
+                   "unfinished — lookahead matrix is unsound\n",
+                   remaining);
+      std::abort();
+    }
+    // No shard of ours ran: advertise hunger so hot shards split their
+    // windows, then back off (a shared core needs the quantum more than
+    // we need the spin).
     if (steal_on_ && !hungry) {
       hungry_.fetch_add(1, std::memory_order_relaxed);
       hungry = true;
@@ -549,19 +574,19 @@ void ShardedSimulator::worker_channel(int s, Time stop) {
     if (++idle > 64) std::this_thread::yield();
   }
   if (hungry) hungry_.fetch_sub(1, std::memory_order_relaxed);
-  workers_live_.fetch_sub(1, std::memory_order_release);
+  executors_live_.fetch_sub(1, std::memory_order_release);
 }
 
 void ShardedSimulator::run_helper(int executor) {
   // A helper owns no shard, so it is hungry for the whole run: hot shards
   // split whenever their wheel is deep enough, and the batches they offer
-  // find an executor even while every shard worker is busy. Which thread
-  // runs a batch never reaches the results (batch-private state, group-
-  // order merge). No batch outlives its owner's split_window, so once
-  // every shard worker has returned the board is empty for good.
+  // find an executor even while every shard executor is busy. Which
+  // thread runs a batch never reaches the results (batch-private state,
+  // group-order merge). No batch outlives its owner's split_window, so
+  // once every executor has returned the board is empty for good.
   hungry_.fetch_add(1, std::memory_order_relaxed);
   int idle = 0;
-  while (workers_live_.load(std::memory_order_acquire) > 0) {
+  while (executors_live_.load(std::memory_order_acquire) > 0) {
     if (try_steal_one(executor)) {
       idle = 0;
     } else if (++idle > 64) {
@@ -569,40 +594,6 @@ void ShardedSimulator::run_helper(int executor) {
     }
   }
   hungry_.fetch_sub(1, std::memory_order_relaxed);
-}
-
-void ShardedSimulator::run_channel_coop(Time stop) {
-  // Cooperative scheduling for machines with a single core (or BFC_COOP):
-  // every shard's step runs round-robin on this thread. Same protocol,
-  // same results — the clocks don't care who advances them — without N
-  // threads time-slicing over one core.
-  const int S = n_shards();
-  std::vector<char> done(static_cast<std::size_t>(S), 0);
-  int remaining = S;
-  while (remaining > 0) {
-    bool progress = false;
-    for (int s = 0; s < S; ++s) {
-      if (done[static_cast<std::size_t>(s)]) continue;
-      bool moved = false;
-      const Step r = channel_step(s, stop, /*threaded=*/false, &moved);
-      if (r == Step::kFinished) {
-        done[static_cast<std::size_t>(s)] = 1;
-        --remaining;
-        progress = true;
-      } else if (r == Step::kRan || moved) {
-        progress = true;
-      }
-    }
-    if (!progress && remaining > 0) {
-      // The clocks reached a fixed point with events still pending: the
-      // lookahead matrix admitted an interaction it shouldn't have.
-      std::fprintf(stderr,
-                   "ShardedSimulator: channel clocks stalled with %d shards "
-                   "unfinished — lookahead matrix is unsound\n",
-                   remaining);
-      std::abort();
-    }
-  }
 }
 
 // --------------------------------------------------------------------
@@ -880,20 +871,16 @@ void ShardedSimulator::run_until(Time stop) {
   for (int s = 0; s < S; ++s) {
     clock_[static_cast<std::size_t>(s)].t.store(0, std::memory_order_relaxed);
   }
-  if (coop_) {
-    run_channel_coop(stop);
-    return;
-  }
   std::vector<std::thread> threads;
-  threads.reserve(static_cast<std::size_t>(S - 1 + helpers_));
-  workers_live_.store(S, std::memory_order_relaxed);
-  for (int s = 1; s < S; ++s) {
-    threads.emplace_back([this, s, stop] { worker_channel(s, stop); });
+  threads.reserve(static_cast<std::size_t>(executors_ - 1 + helpers_));
+  executors_live_.store(executors_, std::memory_order_relaxed);
+  for (int k = 1; k < executors_; ++k) {
+    threads.emplace_back([this, k, stop] { run_executor(k, stop); });
   }
   for (int k = 0; k < helpers_; ++k) {
     threads.emplace_back([this, S, k] { run_helper(S + k); });
   }
-  worker_channel(0, stop);
+  run_executor(0, stop);
   for (std::thread& t : threads) t.join();
 }
 

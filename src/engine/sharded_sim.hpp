@@ -7,12 +7,11 @@
 // closure of the minimum cross-shard link delays. A shard therefore waits
 // only on shards that can actually reach it in time, with no global barrier
 // on the critical path. Cross-shard events travel in per-pair SPSC inbox
-// rings (engine/inbox_ring.hpp), and a hot shard can shed same-window
-// per-locality-group batches via work stealing with deterministic
-// merge-back. Blocked shard workers claim them, and so do up to S helper
-// executors: threads that own no shard and poll for offers for the whole
-// run, one per core the process may use beyond the S shard threads
-// (nothing checks those cores are idle).
+// rings (engine/inbox_ring.hpp). min(S, usable cores) executor threads
+// round-robin the shards. A hot shard can shed same-window per-locality-
+// group batches via work stealing with deterministic merge-back, claimed
+// by hungry executors and up to S helper executors: threads that own no
+// shard, one per usable core beyond S (nothing checks those are idle).
 //
 // Every node of the topology is owned by exactly one Shard, and all of a
 // node's events execute on (or on behalf of) its owning shard. Shards only
@@ -123,10 +122,10 @@ namespace detail {
 inline thread_local StealBatch* tl_batch = nullptr;
 }  // namespace detail
 
-// One worker's event loop: a hierarchical timing wheel of cache-line
+// One shard's event loop: a hierarchical timing wheel of cache-line
 // pooled events plus the arenas that back its switches' queues and its
-// events' payloads. All methods are only safe from the owning worker
-// thread (or from any thread while the engine is idle, e.g. when
+// events' payloads. All methods are only safe from the executor thread
+// driving the shard (or from any thread while the engine is idle, e.g. when
 // pre-seeding events before run_until()) — except through a claimed
 // StealBatch, which redirects them to batch-private state.
 class Shard {
@@ -149,8 +148,8 @@ class Shard {
     return b != nullptr && b->owner == this ? b->cold : cold_;
   }
   std::uint64_t events_run() const { return events_run_; }
-  // Events of this shard that another executor (a neighbor's worker or a
-  // helper) ran via work stealing (a subset of events_run()).
+  // Events of this shard that a non-owning claimant (a neighbor shard's
+  // step or a helper) ran via work stealing (a subset of events_run()).
   std::uint64_t events_stolen() const { return events_stolen_; }
 
   // Telemetry sink for code executing on behalf of this shard, or null
@@ -285,8 +284,10 @@ class ShardedSimulator {
   }
   const char* sync_name() const { return "channel"; }
   bool steal_enabled() const { return steal_on_; }
-  // Helper executors a threaded channel run starts next to its shard
-  // workers: usable_cores() - S clamped to [0, S] with stealing on, else 0.
+  // Threads a multi-shard run starts: min(S, usable_cores()) executors
+  // driving the shards, plus usable_cores() - S helpers clamped to [0, S]
+  // with stealing on (else 0).
+  int executors() const { return executors_; }
   int helpers() const { return helpers_; }
   // CPUs this process may run on: its affinity mask on Linux, which a
   // taskset- or cpuset-limited container keeps below the online count
@@ -343,20 +344,23 @@ class ShardedSimulator {
   enum class Step { kFinished, kRan, kBlocked };
 
   // --- channel clocks ---
-  void worker_channel(int s, Time stop);
+  // Executor k: round-robins channel_step over shards k, k+T, k+2T, ...
+  // (T = executors_) until all of them finish.
+  void run_executor(int k, Time stop);
   // Helper executor `executor` (>= S): claims offered batches until every
-  // shard worker of this run_until has returned.
+  // executor of this run_until has returned.
   void run_helper(int executor);
-  void run_channel_coop(Time stop);
-  Step channel_step(int s, Time stop, bool threaded, bool* clock_moved);
+  // One protocol step of shard s; *moved = a ring drained or
+  // publish_clock made progress.
+  Step channel_step(int s, Time stop, bool* moved);
   // Earliest timestamp any other shard could still send to `s`. When
   // `argmin` is non-null it receives the shard whose clock binds that
   // minimum — the "blocking neighbor" of a clock-wait span.
   Time earliest_inbound(int s, int* argmin = nullptr) const;
   // Flushes ring overflows, then raises this shard's published clock to
-  // min(wheel min, earliest inbound, overflow caps); returns true if the
-  // published value changed (the cooperative scheduler's progress signal).
-  bool publish_clock(int s, Time eit);   // true = clock rose or overflow flushed
+  // min(wheel min, earliest inbound, overflow caps); true if the clock
+  // rose or an overflow was flushed (progress, see run_executor).
+  bool publish_clock(int s, Time eit);
   std::size_t drain_rings(int s);        // events moved ring -> wheel
   bool overflow_clear(int s, Time stop);
   InboxRing& ring(int src, int dst) {
@@ -399,15 +403,15 @@ class ShardedSimulator {
   // a stolen batch, which partitions by locality group — so the plain
   // increments are race-free. See node_event_counts().
   std::vector<std::uint64_t> node_events_;
-  bool coop_ = false;       // run all shards on the calling thread
   bool steal_on_ = false;
   std::size_t steal_threshold_ = 0;
-  int helpers_ = 0;  // helper executors per threaded channel run
+  int executors_ = 1;  // threads driving shards in a multi-shard run
+  int helpers_ = 0;    // helper executors per multi-shard run
 
   std::mutex steal_mu_;
   std::vector<StealBatch*> steal_board_;
   std::atomic<int> hungry_{0};
-  std::atomic<int> workers_live_{0};  // shard workers not yet returned
+  std::atomic<int> executors_live_{0};  // executors not yet returned
 
   std::unique_ptr<obs::Telemetry> telemetry_;
 };

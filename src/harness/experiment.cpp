@@ -380,6 +380,7 @@ ExperimentResult ExperimentRun::collect() {
   }
   r.wall_sec = wall_sec_;
   r.sync = sim.sync_name();
+  r.executors = sim.executors();
   r.helpers = sim.helpers();
   r.events_stolen = sim.events_stolen();
   r.inbox_overflows = sim.inbox_overflows();

@@ -114,7 +114,8 @@ struct ExperimentResult {
   // checks must NOT compare them (they legitimately vary run to run under
   // work stealing).
   std::string sync;
-  int helpers = 0;  // helper executors beside the shard workers
+  int executors = 1;  // threads driving the shards (min(S, usable cores))
+  int helpers = 0;    // helper executors beside them
   std::uint64_t events_stolen = 0;
   std::uint64_t inbox_overflows = 0;
   // Engine telemetry rollups (BFC_METRICS / BFC_TRACE; all zero when the

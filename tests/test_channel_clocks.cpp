@@ -4,9 +4,14 @@
 // (one wheel, no rings, clocks or stealing), so any divergence at S > 1
 // is a channel-clock bug by construction.
 //
-// Also covers the execution-mode axis the protocol has to be insensitive
-// to: cooperative (single-thread round-robin) vs threaded scheduling.
+// Also covers the thread-layout axis the protocol has to be insensitive
+// to: one executor round-robining every shard (the layout on one core) vs
+// the unpinned layout.
+#include <algorithm>
 #include <cstdlib>
+#if defined(__linux__)
+#include <sched.h>
+#endif
 
 #include "harness/experiment.hpp"
 
@@ -70,28 +75,42 @@ void check_scheme(const TopoGraph& topo, Scheme scheme) {
   }
 }
 
-// Cooperative round-robin and threaded workers drive the same clocks to
-// the same fixed points; only wall-clock may differ.
-void check_coop_threaded_parity(const TopoGraph& topo) {
-  setenv("BFC_COOP", "1", 1);
-  const ExperimentResult coop = run_with(topo, Scheme::kBfc, 4);
-  setenv("BFC_COOP", "0", 1);
-  const ExperimentResult threaded = run_with(topo, Scheme::kBfc, 4);
-  unsetenv("BFC_COOP");
-  check_identical(coop, threaded);
-  check_same_schedule(coop, threaded);
+// One executor round-robining all four shards and the unpinned layout
+// drive the same clocks to the same fixed points; only wall-clock may
+// differ. The engine sizes its executors from the affinity mask, so
+// pinning this process to one CPU is what selects the one-executor run.
+void check_single_executor_parity(const TopoGraph& topo) {
+#if defined(__linux__)
+  const ExperimentResult spread = run_with(topo, Scheme::kBfc, 4);
+  cpu_set_t saved;
+  CHECK(sched_getaffinity(0, sizeof(saved), &saved) == 0);
+  int first = 0;
+  while (!CPU_ISSET(first, &saved)) ++first;
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(first, &one);
+  CHECK(sched_setaffinity(0, sizeof(one), &one) == 0);
+  const ExperimentResult pinned = run_with(topo, Scheme::kBfc, 4);
+  CHECK(sched_setaffinity(0, sizeof(saved), &saved) == 0);
+  CHECK(spread.executors == std::min(4, ShardedSimulator::usable_cores()));
+  CHECK(pinned.executors == 1);
+  CHECK(pinned.helpers == 0);
+  check_identical(pinned, spread);
+  check_same_schedule(pinned, spread);
+#else
+  (void)topo;  // no affinity API: the one-executor layout is not forced
+#endif
 }
 
 }  // namespace
 
 int main() {
   // The rig assumes it owns the scheduling knobs.
-  unsetenv("BFC_COOP");
   unsetenv("BFC_STEAL");
   const TopoGraph topo = TopoGraph::three_tier(ThreeTierConfig::t3_small());
   check_scheme(topo, Scheme::kBfc);
   // DCQCN exercises the per-node ECN-marking RNGs across protocols.
   check_scheme(topo, Scheme::kDcqcnWin);
-  check_coop_threaded_parity(topo);
+  check_single_executor_parity(topo);
   return 0;
 }

@@ -1,10 +1,10 @@
 // Determinism fuzzing: every case derives a full configuration —
 // topology tier, scheme, seed, load, run length, shard count, and the
-// engine's scheduling knobs (work stealing, cooperative vs threaded
-// workers, inbox ring capacity) — from a splitmix64 stream over the case
-// index, runs it, and requires bit-identical stats against the 1-shard
-// sequential reference. The axes deliberately include every knob that
-// changes *scheduling* without being allowed to change *simulation*.
+// engine's scheduling knobs (work stealing, inbox ring capacity) — from a
+// splitmix64 stream over the case index, runs it, and requires
+// bit-identical stats against the 1-shard sequential reference. The axes
+// deliberately include every knob that changes *scheduling* without being
+// allowed to change *simulation*.
 //
 // Reproducing a failure needs only the case index printed on the line
 // above it:
@@ -50,7 +50,6 @@ struct FuzzCase {
   Time stop = 0;
   int shards = 2;
   bool steal = false;
-  bool coop = false;
   int ring_cap = 0;  // 0 = default
   int flaps = 0;     // fault plane: random fabric link flaps (0 = none)
   std::uint64_t fault_seed = 0;
@@ -71,7 +70,7 @@ FuzzCase derive_case(int index) {
   c.stop = microseconds(60 + static_cast<Time>(mix64(s) % 141));  // 60..200
   c.shards = 2 + static_cast<int>(mix64(s) % 7);               // 2..8
   c.steal = (mix64(s) & 1) != 0;
-  c.coop = (mix64(s) & 1) != 0;  // ignored when stealing (steal => threads)
+  (void)mix64(s);  // retired axis: drawn so every later axis keeps its seed
   const int caps[] = {0, 4, 64, 1024};
   c.ring_cap = caps[mix64(s) % 4];
   // Fault dimension, appended after the original axes so pre-fault cases
@@ -181,12 +180,11 @@ void check_identical(const ExperimentResult& a, const ExperimentResult& b) {
 void run_one(int index) {
   const FuzzCase c = derive_case(index);
   std::printf("case %d: topo=%s scheme=%s seed=%llu load=%.2f incast=%.2f "
-              "stop=%lld shards=%d steal=%d coop=%d ring_cap=%d flaps=%d "
-              "snap=%d\n",
+              "stop=%lld shards=%d steal=%d ring_cap=%d flaps=%d snap=%d\n",
               index, topo_name(c.topo_kind), scheme_name(c.scheme),
               static_cast<unsigned long long>(c.seed), c.load, c.incast_load,
               static_cast<long long>(c.stop), c.shards,
-              c.steal ? 1 : 0, c.coop ? 1 : 0, c.ring_cap, c.flaps,
+              c.steal ? 1 : 0, c.ring_cap, c.flaps,
               c.snap ? 1 : 0);
   std::fflush(stdout);
 
@@ -196,7 +194,6 @@ void run_one(int index) {
   // every knob per instance at construction, so flipping env between the
   // two runs is safe in-process.
   setenv("BFC_STEAL", "0", 1);
-  unsetenv("BFC_COOP");
   unsetenv("BFC_INBOX_RING_CAP");
   unsetenv("BFC_STEAL_THRESHOLD");
   const ExperimentResult ref = run_case(topo, c, 1);
@@ -207,8 +204,6 @@ void run_one(int index) {
     // Threshold 1 makes every eligible window split — the point is
     // coverage of the steal machinery, not a realistic schedule.
     setenv("BFC_STEAL_THRESHOLD", "1", 1);
-  } else {
-    setenv("BFC_COOP", c.coop ? "1" : "0", 1);
   }
   if (c.ring_cap > 0) {
     char buf[16];
@@ -217,7 +212,6 @@ void run_one(int index) {
   }
   const ExperimentResult got = run_case(topo, c, c.shards);
   setenv("BFC_STEAL", "0", 1);
-  unsetenv("BFC_COOP");
   unsetenv("BFC_INBOX_RING_CAP");
   unsetenv("BFC_STEAL_THRESHOLD");
 

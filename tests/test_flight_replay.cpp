@@ -32,13 +32,13 @@ ExperimentResult run_one(const TopoGraph& topo, int shards) {
 }  // namespace
 
 int main() {
-  // Pin the scheduling knobs that could legitimately reorder execution:
+  // Pin the scheduling knob that could legitimately reorder execution:
   // stealing moves events to other executors, so the replay contract is
-  // stated for the steal-off (and cooperative, for good measure) engine —
-  // the same configuration the fuzz rig replays failures under.
+  // stated for the steal-off engine — the same configuration the fuzz rig
+  // replays failures under. With stealing off each shard's stream is its
+  // own serial loop, whatever the executor layout.
   setenv("BFC_FLIGHT", "256", 1);
   setenv("BFC_STEAL", "0", 1);
-  setenv("BFC_COOP", "1", 1);
   unsetenv("BFC_METRICS");
   unsetenv("BFC_TRACE");
 
@@ -80,7 +80,6 @@ int main() {
 
   unsetenv("BFC_FLIGHT");
   unsetenv("BFC_STEAL");
-  unsetenv("BFC_COOP");
   std::printf("test_flight_replay: OK\n");
   return 0;
 }

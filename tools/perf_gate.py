@@ -124,17 +124,21 @@ def load_host(path):
 
 
 def host_line(host, rows):
-    """One summary line naming the machine and the helper executors each
-    multi-shard row ran with (a 2-shard row on 4 cores runs 4 threads)."""
+    """One summary line naming the machine and the threads each
+    multi-shard row ran with: executors (min(shards, cores)) plus helper
+    executors (a 2-shard row on 4 cores runs 2 + 2, an 8-shard row 4 + 0).
+    Rows recorded before the executors field existed print "?"."""
     if not host:
         return "Host: not recorded."
-    helpers = {}
+    layout = {}
     for r in rows:
         if r.get("shards", 1) > 1:
-            helpers.setdefault(r["shards"], r.get("helpers", 0))
-    per = ", ".join(f"{s} shards: {h}" for s, h in sorted(helpers.items()))
+            layout.setdefault(r["shards"],
+                              (r.get("executors", "?"), r.get("helpers", 0)))
+    per = ", ".join(f"{s} shards: {e} + {h}"
+                    for s, (e, h) in sorted(layout.items()))
     return (f"Host: {host.get('cpu_model', '?')}, nproc "
-            f"{host.get('nproc', '?')}; helper executors per row: "
+            f"{host.get('nproc', '?')}; executors + helpers per row: "
             f"{per or 'none'}.")
 
 
@@ -920,13 +924,16 @@ def self_test():
         "RSS rows must render for the job summary"
 
     # Host stamp: the summary header names the machine and each
-    # multi-shard row's helper executors; pre-stamp runs say so.
+    # multi-shard row's executors + helpers; pre-stamp runs say so, and
+    # rows from before the executors field show "?" for it.
     line = host_line({"cpu_model": "Xeon", "nproc": 4},
-                     [{"shards": 1, "helpers": 0},
-                      {"shards": 2, "helpers": 2},
-                      {"shards": 8, "helpers": 0}])
-    assert "Xeon, nproc 4" in line and "2 shards: 2" in line and \
-        "8 shards: 0" in line and "1 shards" not in line, line
+                     [{"shards": 1, "executors": 1, "helpers": 0},
+                      {"shards": 2, "executors": 2, "helpers": 2},
+                      {"shards": 8, "executors": 4, "helpers": 0},
+                      {"shards": 16, "helpers": 0}])
+    assert "Xeon, nproc 4" in line and "2 shards: 2 + 2" in line and \
+        "8 shards: 4 + 0" in line and "16 shards: ? + 0" in line and \
+        "1 shards" not in line, line
     assert host_line({}, []) == "Host: not recorded."
     assert line in render([], 1.0, 0.25, False, 0.05, 0.05, host=line)
     # No baseline (new row, or zero-RSS platform): visible, never fatal.

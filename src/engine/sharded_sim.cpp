@@ -24,15 +24,6 @@ constexpr int kStealDone = 0;
 constexpr int kStealOffered = 1;
 constexpr int kStealClaimed = 2;
 
-// Min-heap comparator over (at, key) — the engine's event order contract,
-// same as TimingWheel's.
-struct LaterItem {
-  bool operator()(const StealBatch::Item& a, const StealBatch::Item& b) const {
-    if (a.at != b.at) return a.at > b.at;
-    return a.key > b.key;
-  }
-};
-
 }  // namespace
 
 int ShardedSimulator::usable_cores() {
@@ -607,7 +598,7 @@ void ShardedSimulator::run_helper(int executor) {
 // sequence counters, per-node RNGs, flow sender/receiver halves).
 // Deterministic because each batch runs its events in exact (at, key)
 // order — including events it posts to itself inside the window, via the
-// batch heap — and the merge-back happens in group order after every
+// batch's wheel — and the merge-back happens in group order after every
 // batch completed, feeding a wheel/stats layer that is insensitive to
 // inter-group arrival order. Which executor ran a batch never matters.
 
@@ -638,9 +629,10 @@ void ShardedSimulator::split_window(Shard& sh, Time w0, Time h, Time stop) {
     return;
   }
 
-  // Partition into per-group batches. scratch_ is (at, key)-sorted from
-  // the wheel, and a sorted array is a valid min-heap, so each batch's
-  // heap seeds ready to pop.
+  // Partition into per-group batches. Reusing a slot's wheel is sound: it
+  // is empty between windows (execute_batch drains it or aborts), and a
+  // shard's windows are monotone, so every push lands at or after the
+  // wheel's last pop, as the wheel requires.
   sh.active_.clear();
   for (Event* e : sh.scratch_) {
     const int g = group_of_event(e);
@@ -667,8 +659,7 @@ void ShardedSimulator::split_window(Shard& sh, Time w0, Time h, Time stop) {
       sh.active_.push_back(b);
       sh.group_slot_[static_cast<std::size_t>(g)] = slot;
     }
-    sh.active_[static_cast<std::size_t>(slot)]->heap.push_back(
-        {e->at, e->key, e});
+    sh.active_[static_cast<std::size_t>(slot)]->wheel.push(e);
   }
   sh.scratch_.clear();
   for (StealBatch* b : sh.active_) {
@@ -775,23 +766,18 @@ void ShardedSimulator::split_window(Shard& sh, Time w0, Time h, Time stop) {
 }
 
 void ShardedSimulator::execute_batch(StealBatch& b, int executor) {
+  const auto out_of_window = [&](Time at) {
+    std::fprintf(stderr,
+                 "ShardedSimulator: stolen batch (shard %d, group %d, "
+                 "executor %d) would run t=%lld outside its window "
+                 "[%lld, %lld)\n",
+                 b.owner->idx_, b.group, executor, static_cast<long long>(at),
+                 static_cast<long long>(b.w0), static_cast<long long>(b.w1));
+    std::abort();
+  };
   detail::tl_batch = &b;
-  std::vector<StealBatch::Item>& heap = b.heap;
-  while (!heap.empty()) {
-    std::pop_heap(heap.begin(), heap.end(), LaterItem{});
-    Event* e = heap.back().e;
-    heap.pop_back();
-    if (e->at < b.w0 || e->at >= b.w1) {
-      std::fprintf(stderr,
-                   "ShardedSimulator: stolen batch (shard %d, group %d, "
-                   "executor %d) would run t=%lld outside its window "
-                   "[%lld, %lld)\n",
-                   b.owner->idx_, b.group, executor,
-                   static_cast<long long>(e->at),
-                   static_cast<long long>(b.w0),
-                   static_cast<long long>(b.w1));
-      std::abort();
-    }
+  while (Event* e = b.wheel.pop_until(b.w1)) {
+    if (e->at < b.w0) out_of_window(e->at);
     b.now = e->at;
     ++b.events_run;
     if (b.flight != nullptr) b.flight->push_back({e->at, e->key});
@@ -801,15 +787,17 @@ void ShardedSimulator::execute_batch(StealBatch& b, int executor) {
     b.owner->recycle(e);
   }
   detail::tl_batch = nullptr;
+  // pop_until never returns an event at or past w1; one left behind would
+  // run in the slot's next window, possibly another group's.
+  if (!b.wheel.empty()) out_of_window(b.wheel.min_time());
 }
 
 void ShardedSimulator::steal_post_local(StealBatch& b, Event* e) {
   const int g = group_of_event(e);
   if (g == b.group && e->at < b.w1) {
     // Same group, same window: interleave into the batch in (at, key)
-    // order, exactly as the wheel would have.
-    b.heap.push_back({e->at, e->key, e});
-    std::push_heap(b.heap.begin(), b.heap.end(), LaterItem{});
+    // order, exactly as the shard wheel would have.
+    b.wheel.push(e);
     return;
   }
   if (e->at < b.w1) {

@@ -68,27 +68,21 @@ enum class SyncMode { kChannel };
 constexpr std::uint32_t kRunSeqBase = 0x80000000u;
 
 // One locality group's slice of a split window: the unit of work stealing.
-// The owner pops every event below the (capped) window end, partitions by
-// locality group, and offers the batches; whoever claims one — a blocked
-// neighbor, a helper executor or the owner itself — executes it against
-// these private pools and buffers, so the only shared state two
-// concurrently-running batches of one shard touch is disjoint per-entity
-// state (sequence counters, per-node RNGs, per-device queues). Posts that
-// leave the (group, window) box are deferred and merged back by the owner,
-// in group order, after every batch of the window has completed.
+// The owner pops every event below the (capped) window end, pushes each
+// into its locality group's batch wheel, and offers the batches; whoever
+// claims one — a blocked neighbor, a helper executor or the owner itself —
+// executes it against these private pools and buffers, so the only shared
+// state two concurrently-running batches of one shard touch is disjoint
+// per-entity state (sequence counters, per-node RNGs, per-device queues).
+// Posts that leave the (group, window) box are deferred and merged back by
+// the owner, in group order, after every batch of the window has completed.
 struct StealBatch {
-  struct Item {
-    Time at;
-    std::uint64_t key;
-    Event* e;
-  };
-
   Shard* owner = nullptr;
   int group = -1;
   Time w0 = 0;       // window start (inclusive)
   Time w1 = 0;       // window end (exclusive): no batch event runs past it
   Time now = 0;      // virtual clock while executing
-  std::vector<Item> heap;  // min-heap on (at, key); seeded sorted
+  BasicTimingWheel<6> wheel;  // (at, key) order; 64 slots: timing_wheel.hpp
   // Private allocators: recycled events and payload nodes land here and
   // migrate back through normal arena traffic (same contract as
   // cross-shard event recycling).

@@ -6,6 +6,7 @@
 #include <string>
 #include <thread>
 
+#include "engine/sharded_sim.hpp"
 #include "sim/env_knob.hpp"
 
 namespace bfc {
@@ -17,8 +18,7 @@ bool SweepServer::resident_enabled() {
 
 int SweepServer::jobs() {
   static const int n = [] {
-    const unsigned hw = std::thread::hardware_concurrency();
-    const long def = hw == 0 ? 1 : (hw > 8 ? 8 : static_cast<long>(hw));
+    const long def = std::clamp(ShardedSimulator::usable_cores(), 1, 8);
     return static_cast<int>(env_long("BFC_RESIDENT_JOBS", def, 1, 64));
   }();
   return n;

@@ -35,8 +35,8 @@ class SweepServer {
   static bool resident_enabled();
 
   // Worker threads for run_batch: BFC_RESIDENT_JOBS, defaulting to the
-  // hardware concurrency (capped at 8 — the benches are memory-bound well
-  // before that).
+  // usable cores (ShardedSimulator::usable_cores(), the affinity mask),
+  // clamped to [1, 8] — the benches are memory-bound well before 8.
   static int jobs();
 
   // Runs each config as its own cold experiment on a small thread pool.

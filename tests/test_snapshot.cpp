@@ -19,7 +19,8 @@
 //     refused with a diagnostic or restore and re-save cleanly.
 //   * SweepServer — warm shard sweeps and batches match cold runs.
 //   * Env knobs — a malformed or out-of-range BFC_RESIDENT, BFC_SHARDS or
-//     engine knob aborts instead of picking a mode.
+//     engine knob aborts instead of picking a mode, and the
+//     BFC_RESIDENT_JOBS default follows the affinity mask.
 #include "core/snapshot.hpp"
 
 #include <algorithm>
@@ -29,6 +30,9 @@
 #include <string>
 #include <sys/wait.h>
 #include <unistd.h>
+#if defined(__linux__)
+#include <sched.h>
+#endif
 
 #include "harness/experiment.hpp"
 #include "harness/sweep_server.hpp"
@@ -447,6 +451,36 @@ void check_resident_env(const TopoGraph& topo) {
       CHECK(WIFEXITED(status) && WEXITSTATUS(status) == c.exit_code);
     }
   }
+#if defined(__linux__)
+  // The BFC_RESIDENT_JOBS default follows the affinity mask, so a child
+  // pinned to one CPU runs one batch worker; an explicit value still wins.
+  struct JobsCase {
+    const char* value;  // null = unset
+    int jobs;
+  };
+  for (const JobsCase& c : {JobsCase{nullptr, 1}, JobsCase{"3", 3}}) {
+    const pid_t pid = fork();
+    if (pid == 0) {
+      cpu_set_t mask;
+      if (sched_getaffinity(0, sizeof(mask), &mask) != 0) std::_Exit(100);
+      int first = 0;
+      while (!CPU_ISSET(first, &mask)) ++first;
+      CPU_ZERO(&mask);
+      CPU_SET(first, &mask);
+      if (sched_setaffinity(0, sizeof(mask), &mask) != 0) std::_Exit(101);
+      if (c.value == nullptr) {
+        unsetenv("BFC_RESIDENT_JOBS");
+      } else {
+        setenv("BFC_RESIDENT_JOBS", c.value, 1);
+      }
+      std::_Exit(SweepServer::jobs());
+    }
+    CHECK(pid > 0);
+    int status = 0;
+    CHECK(waitpid(pid, &status, 0) == pid);
+    CHECK(WIFEXITED(status) && WEXITSTATUS(status) == c.jobs);
+  }
+#endif
 }
 
 }  // namespace

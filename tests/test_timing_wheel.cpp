@@ -5,8 +5,11 @@
 // ties included), windowed pops with limits, and far-horizon overflow
 // (ms-scale RTO-like delays that cross the near wheel's range), plus the
 // dense-slot regime of a busy shard (hundreds to thousands of events per
-// 512 ns slot, re-pushes into the draining slot) and the for_each walk
-// the checkpoint codec depends on.
+// 512 ns slot, re-pushes into the draining slot), the for_each walk
+// the checkpoint codec depends on, and a recycled steal batch slot's
+// windows. Every case runs at both geometries the engine uses: the
+// shard's TimingWheel and a steal batch's BasicTimingWheel<6>, whose
+// 32.8 us horizon the kHorizonNs-based offsets cross into its far heap.
 #include "engine/timing_wheel.hpp"
 
 #include <algorithm>
@@ -66,9 +69,10 @@ std::uint64_t next_key(Rng& rng, std::vector<std::uint32_t>& seq) {
   return (static_cast<std::uint64_t>(entity) << 32) | seq[entity]++;
 }
 
+template <class W>
 void test_bulk_drain() {
   EventPool pool;
-  TimingWheel wheel;
+  W wheel;
   RefHeap ref;
   Rng rng(7);
   std::vector<std::uint32_t> seq(64, 0);
@@ -76,7 +80,7 @@ void test_bulk_drain() {
   // (ties resolved by key alone).
   for (int i = 0; i < 20000; ++i) {
     const Time at =
-        static_cast<Time>(rng.uniform_int(0, 16)) * (TimingWheel::kHorizonNs / 8) +
+        static_cast<Time>(rng.uniform_int(0, 16)) * (W::kHorizonNs / 8) +
         static_cast<Time>(rng.uniform_int(0, 1000));
     Event* e = make_event(pool, at, next_key(rng, seq));
     wheel.push(e);
@@ -88,8 +92,8 @@ void test_bulk_drain() {
   int n = 0;
   for (;;) {
     CHECK(wheel.min_time() == ref.min_time());
-    Event* w = wheel.pop_until(TimingWheel::kNever);
-    Event* r = ref.pop_until(TimingWheel::kNever);
+    Event* w = wheel.pop_until(W::kNever);
+    Event* r = ref.pop_until(W::kNever);
     CHECK(w == r);
     if (w == nullptr) break;
     // Strictly ascending (at, key): ties ordered by key.
@@ -102,9 +106,10 @@ void test_bulk_drain() {
   CHECK(wheel.empty());
 }
 
+template <class W>
 void test_interleaved_windows() {
   EventPool pool;
-  TimingWheel wheel;
+  W wheel;
   RefHeap ref;
   Rng rng(11);
   std::vector<std::uint32_t> seq(64, 0);
@@ -118,13 +123,13 @@ void test_interleaved_windows() {
     if (kind == 0) {
       off = 0;
     } else if (kind <= 4) {
-      off = static_cast<Time>(rng.uniform_int(0, TimingWheel::kSlotNs * 4));
+      off = static_cast<Time>(rng.uniform_int(0, W::kSlotNs * 4));
     } else if (kind <= 8) {
-      off = static_cast<Time>(rng.uniform_int(0, TimingWheel::kHorizonNs));
+      off = static_cast<Time>(rng.uniform_int(0, W::kHorizonNs));
     } else {
       off = static_cast<Time>(
-          rng.uniform_int(TimingWheel::kHorizonNs,
-                          4 * TimingWheel::kHorizonNs));
+          rng.uniform_int(W::kHorizonNs,
+                          4 * W::kHorizonNs));
     }
     Event* e = make_event(pool, now + off, next_key(rng, seq));
     wheel.push(e);
@@ -137,9 +142,9 @@ void test_interleaved_windows() {
     // A conservative-PDES-style window: drain everything below a limit a
     // little past the pending minimum, pushing as we go.
     const Time base = ref.min_time();
-    if (base == TimingWheel::kNever) break;
+    if (base == W::kNever) break;
     const Time limit =
-        base + static_cast<Time>(rng.uniform_int(0, 3 * TimingWheel::kSlotNs));
+        base + static_cast<Time>(rng.uniform_int(0, 3 * W::kSlotNs));
     for (;;) {
       Event* w = wheel.pop_until(limit);
       Event* r = ref.pop_until(limit);
@@ -153,8 +158,8 @@ void test_interleaved_windows() {
   }
   // Drain what's left and confirm both schedulers agree to the end.
   for (;;) {
-    Event* w = wheel.pop_until(TimingWheel::kNever);
-    Event* r = ref.pop_until(TimingWheel::kNever);
+    Event* w = wheel.pop_until(W::kNever);
+    Event* r = ref.pop_until(W::kNever);
     CHECK(w == r);
     if (w == nullptr) break;
     ++pops;
@@ -163,30 +168,31 @@ void test_interleaved_windows() {
   CHECK(wheel.empty() && wheel.size() == 0);
 }
 
+template <class W>
 void test_far_only_and_limits() {
   EventPool pool;
-  TimingWheel wheel;
+  W wheel;
   // Only far-horizon events (the RTO pattern): the wheel must turn
   // across empty space and still respect pop limits exactly.
   std::vector<Event*> evs;
   for (int i = 9; i >= 0; --i) {
-    Event* e = make_event(pool, (i + 2) * TimingWheel::kHorizonNs,
+    Event* e = make_event(pool, (i + 2) * W::kHorizonNs,
                           static_cast<std::uint64_t>(i));
     evs.push_back(e);
     wheel.push(e);
   }
-  CHECK(wheel.min_time() == 2 * TimingWheel::kHorizonNs);
+  CHECK(wheel.min_time() == 2 * W::kHorizonNs);
   // Limit below the minimum: nothing pops, state intact.
-  CHECK(wheel.pop_until(TimingWheel::kHorizonNs) == nullptr);
+  CHECK(wheel.pop_until(W::kHorizonNs) == nullptr);
   CHECK(wheel.size() == 10);
   for (int i = 0; i < 10; ++i) {
-    Event* e = wheel.pop_until(TimingWheel::kNever);
+    Event* e = wheel.pop_until(W::kNever);
     CHECK(e != nullptr);
-    CHECK(e->at == (i + 2) * TimingWheel::kHorizonNs);
+    CHECK(e->at == (i + 2) * W::kHorizonNs);
   }
   CHECK(wheel.empty());
-  CHECK(wheel.min_time() == TimingWheel::kNever);
-  CHECK(wheel.pop_until(TimingWheel::kNever) == nullptr);
+  CHECK(wheel.min_time() == W::kNever);
+  CHECK(wheel.pop_until(W::kNever) == nullptr);
 }
 
 
@@ -195,13 +201,14 @@ void test_far_only_and_limits() {
 // the draining slot, in the next slot and past the horizon. Every few
 // windows a drained prefix is put back, as split_window does when it
 // declines to split. min_time() must match the reference after every pop.
+template <class W>
 void test_dense_slots() {
   EventPool pool;
-  TimingWheel wheel;
+  W wheel;
   RefHeap ref;
   Rng rng(23);
   std::vector<std::uint32_t> seq(64, 0);
-  const Time base = 7 * TimingWheel::kSlotNs + 100;  // straddles a boundary
+  const Time base = 7 * W::kSlotNs + 100;  // straddles a boundary
   int pushes = 0, pops = 0;
   auto push_at = [&](Time at) {
     Event* e = make_event(pool, at, next_key(rng, seq));
@@ -211,7 +218,7 @@ void test_dense_slots() {
   };
   for (int i = 0; i < 4000; ++i) {
     push_at(base + static_cast<Time>(
-                       rng.uniform_int(0, 2 * TimingWheel::kSlotNs - 1)));
+                       rng.uniform_int(0, 2 * W::kSlotNs - 1)));
   }
   for (int i = 0; i < 300; ++i) {
     push_at(base + static_cast<Time>(rng.uniform_int(0, 7)));  // heavy ties
@@ -221,7 +228,7 @@ void test_dense_slots() {
   for (int round = 0; round < 3000; ++round) {
     CHECK(wheel.min_time() == ref.min_time());
     const Time lo = ref.min_time();
-    if (lo == TimingWheel::kNever) break;
+    if (lo == W::kNever) break;
     const Time limit = lo + static_cast<Time>(rng.uniform_int(0, 40));
     const bool put_back = round % 7 == 3;
     const Time window_start = now;
@@ -241,7 +248,7 @@ void test_dense_slots() {
       }
       if (pushes >= 40000) continue;
       const Time in_slot =
-          TimingWheel::kSlotNs - 1 - (now & (TimingWheel::kSlotNs - 1));
+          W::kSlotNs - 1 - (now & (W::kSlotNs - 1));
       switch (rng.uniform_int(0, 9)) {
         case 0: push_at(now); break;
         case 1: push_at(now + 1); break;
@@ -251,11 +258,11 @@ void test_dense_slots() {
         case 5: case 6:
           push_at(now + in_slot + 1 +
                   static_cast<Time>(
-                      rng.uniform_int(0, TimingWheel::kSlotNs - 1)));
+                      rng.uniform_int(0, W::kSlotNs - 1)));
           break;
         case 7:
           push_at(now + static_cast<Time>(
-                            rng.uniform_int(1, 2 * TimingWheel::kHorizonNs)));
+                            rng.uniform_int(1, 2 * W::kHorizonNs)));
           break;
         default: break;
       }
@@ -269,8 +276,8 @@ void test_dense_slots() {
   }
   for (;;) {
     CHECK(wheel.min_time() == ref.min_time());
-    Event* w = wheel.pop_until(TimingWheel::kNever);
-    Event* r = ref.pop_until(TimingWheel::kNever);
+    Event* w = wheel.pop_until(W::kNever);
+    Event* r = ref.pop_until(W::kNever);
     CHECK(w == r);
     if (w == nullptr) break;
     ++pops;
@@ -282,9 +289,10 @@ void test_dense_slots() {
 // for_each must visit every pending event exactly once wherever it sits:
 // tick heap (same-nanosecond ties mid-drain, a re-pushed straggler),
 // inner chains of the draining slot, later buckets and the far heap.
+template <class W>
 void test_for_each_after_partial_drains() {
   EventPool pool;
-  TimingWheel wheel;
+  W wheel;
   RefHeap ref;
   Rng rng(31);
   std::vector<std::uint32_t> seq(64, 0);
@@ -300,21 +308,21 @@ void test_for_each_after_partial_drains() {
     CHECK(seen.size() == ref.h.size());
     for (const RItem& it : ref.h) CHECK(seen.count(it.e) == 1);
   };
-  const Time t0 = 3 * TimingWheel::kSlotNs + 17;
+  const Time t0 = 3 * W::kSlotNs + 17;
   for (int i = 0; i < 6; ++i) push_at(t0);  // one tick, six keys
   for (int i = 0; i < 200; ++i) {
     push_at(t0 + static_cast<Time>(rng.uniform_int(1, 3000)));
   }
   for (int i = 0; i < 20; ++i) {
     push_at(t0 + static_cast<Time>(rng.uniform_int(
-                     TimingWheel::kHorizonNs, 3 * TimingWheel::kHorizonNs)));
+                     W::kHorizonNs, 3 * W::kHorizonNs)));
   }
   check_visit();
   // Pop two of the six ties: four stay in the tick heap.
   Event* popped = nullptr;
   for (int i = 0; i < 2; ++i) {
-    popped = wheel.pop_until(TimingWheel::kNever);
-    CHECK(popped == ref.pop_until(TimingWheel::kNever));
+    popped = wheel.pop_until(W::kNever);
+    CHECK(popped == ref.pop_until(W::kNever));
     CHECK(popped->at == t0);
   }
   check_visit();
@@ -339,13 +347,77 @@ void test_for_each_after_partial_drains() {
   }
 }
 
+
+// A steal batch slot's life: each window's events arrive sorted, the
+// batch posts more into its own window while draining to the window end,
+// the wheel ends empty, and the slot is reused for a later window —
+// sometimes just past the last pop, sometimes beyond the wheel's horizon,
+// sometimes wider than the horizon itself.
+template <class W>
+void test_reuse_after_drain() {
+  EventPool pool;
+  W wheel;
+  RefHeap ref;
+  Rng rng(41);
+  std::vector<std::uint32_t> seq(64, 0);
+  auto push_at = [&](Time at) {
+    Event* e = make_event(pool, at, next_key(rng, seq));
+    wheel.push(e);
+    ref.push(e);
+  };
+  Time w0 = 5 * W::kSlotNs + 3;
+  std::vector<Time> ats;
+  for (int window = 0; window < 300; ++window) {
+    Time width = 1000;
+    switch (rng.uniform_int(0, 3)) {
+      case 0: width = static_cast<Time>(rng.uniform_int(1, W::kSlotNs)); break;
+      case 1: width = 2 * W::kHorizonNs; break;
+      default: break;
+    }
+    const Time w1 = w0 + width;
+    ats.clear();
+    const int n = static_cast<int>(rng.uniform_int(1, 60));
+    for (int i = 0; i < n; ++i) {
+      ats.push_back(w0 + static_cast<Time>(rng.uniform_int(0, width - 1)));
+    }
+    std::sort(ats.begin(), ats.end());
+    for (Time at : ats) push_at(at);
+    Time now = w0;
+    for (;;) {
+      CHECK(wheel.min_time() == ref.min_time());
+      Event* w = wheel.pop_until(w1);
+      CHECK(w == ref.pop_until(w1));
+      if (w == nullptr) break;
+      CHECK(w->at >= now && w->at < w1);
+      now = w->at;
+      if (rng.uniform() < 0.3) {
+        push_at(now + static_cast<Time>(rng.uniform_int(0, w1 - 1 - now)));
+      }
+    }
+    CHECK(wheel.empty() && ref.h.empty());
+    // The next window starts at or after this one's end, often far past
+    // the wheel's horizon from its last pop.
+    w0 = w1 + (rng.uniform() < 0.5
+                   ? static_cast<Time>(rng.uniform_int(0, 3 * W::kSlotNs))
+                   : static_cast<Time>(rng.uniform_int(W::kHorizonNs,
+                                                       4 * W::kHorizonNs)));
+  }
+}
+
 }  // namespace
 
+template <class W>
+void run_all() {
+  test_bulk_drain<W>();
+  test_interleaved_windows<W>();
+  test_far_only_and_limits<W>();
+  test_dense_slots<W>();
+  test_for_each_after_partial_drains<W>();
+  test_reuse_after_drain<W>();
+}
+
 int main() {
-  test_bulk_drain();
-  test_interleaved_windows();
-  test_far_only_and_limits();
-  test_dense_slots();
-  test_for_each_after_partial_drains();
+  run_all<TimingWheel>();          // the shard scheduler
+  run_all<BasicTimingWheel<6>>();  // a steal batch's: kHorizonNs = 32.8 us
   return 0;
 }

@@ -296,6 +296,21 @@ def same_host(a, b):
         (b.get("cpu_model"), b.get("nproc"))
 
 
+def history_window(entries, cur_scale, cur_host):
+    """The history every windowed section reads: [(payload, scale, host)]
+    oldest first, minus runs recorded at another BFC_BENCH_SCALE (the
+    numbers are scale-dependent) and runs stamped by another host than
+    `cur_host` (they measure the machine as much as the code). Unstamped
+    runs and an unstamped current run keep everything. Returns
+    (payloads, n_dropped_for_host)."""
+    scaled = [(payload, host) for payload, scale, host in entries
+              if not (cur_scale is not None and scale is not None
+                      and scale != cur_scale)]
+    usable = [payload for payload, host in scaled
+              if same_host(host, cur_host)]
+    return usable, len(scaled) - len(usable)
+
+
 def load_history_file(path):
     """Committed BENCH_history.json: {"runs": [{"scale":..., "topos":
     {...}, "host": {...}}, ...]}, oldest first (every PR appends).
@@ -324,13 +339,9 @@ def rolling_baseline(committed, history_dir, limit, cur_scale=None,
     committed history file first (oldest) and the cache directory
     second (files sort by name: CI writes zero-padded run numbers), so
     the window is the combined tail. History recorded at a different
-    BFC_BENCH_SCALE than the current run is skipped — events/sec is
-    scale-dependent, so mixing scales would blur the median for the few
-    runs after a workflow scale change. Likewise history stamped by a
-    different host than `cur_host` is left out (events/sec measures the
-    machine as much as the code); unstamped runs still count. The gated
-    topo surface stays the committed one; history only refreshes the
-    expected values. Returns (effective, n_runs_used,
+    BFC_BENCH_SCALE or stamped by another host is skipped
+    (history_window). The gated topo surface stays the committed one;
+    history only refreshes the expected values. Returns (effective, n_runs_used,
     n_runs_dropped_for_host)."""
     entries = list(load_history_file(history_file))
     if history_dir:
@@ -341,11 +352,7 @@ def rolling_baseline(committed, history_dir, limit, cur_scale=None,
                 continue  # a corrupt cached artifact must not wedge the gate
             if topos:  # an empty artifact must not consume a window slot
                 entries.append((topos, scale, load_host(path)))
-    scaled = [(topos, host) for topos, scale, host in entries
-              if not (cur_scale is not None and scale is not None
-                      and scale != cur_scale)]
-    usable = [topos for topos, host in scaled if same_host(host, cur_host)]
-    dropped = len(scaled) - len(usable)
+    usable, dropped = history_window(entries, cur_scale, cur_host)
     usable = usable[-limit:]
     per_col = {}
     for topos in usable:
@@ -362,16 +369,18 @@ def rolling_baseline(committed, history_dir, limit, cur_scale=None,
 
 
 def rss_baseline(committed_rows, committed_scale, history_dir, limit,
-                 cur_scale=None, history_file=None):
+                 cur_scale=None, history_file=None, cur_host=None):
     """Per-(topo, shards) rolling peak-RSS baseline: the median over the
-    last `limit` scale-matched history runs. History-file runs may carry
-    a "rows" list next to "topos" (older entries don't — they simply
-    contribute nothing); cache-dir bench jsons carry engine.rows.
+    last `limit` history runs of this scale and host (history_window).
+    History-file runs may carry a "rows" list next to "topos" (older
+    entries don't — they simply contribute nothing); cache-dir bench
+    jsons carry engine.rows.
     Committed rows backstop pairs with no history, but ONLY on a scale
     match — RSS tracks workload size, so a full-scale committed number
-    says nothing about a 0.05-scale CI run. Returns ({(topo, shards):
-    kb}, n_history_runs_used)."""
-    entries = []  # (rows, scale), oldest first
+    says nothing about a 0.05-scale CI run. The committed rows carry no
+    host, so they backstop on any host. Returns ({(topo, shards): kb},
+    n_history_runs_used, n_runs_dropped_for_host)."""
+    entries = []  # (rows, scale, host), oldest first
     if history_file:
         try:
             with open(history_file) as f:
@@ -381,15 +390,13 @@ def rss_baseline(committed_rows, committed_scale, history_dir, limit,
         for run in doc.get("runs", []):
             rows = run.get("rows", [])
             if rows:
-                entries.append((rows, run.get("scale")))
+                entries.append((rows, run.get("scale"), run.get("host", {})))
     if history_dir:
         for path in sorted(glob.glob(os.path.join(history_dir, "*.json"))):
             rows, scale = load_rows(path)
             if rows:
-                entries.append((rows, scale))
-    usable = [rows for rows, scale in entries
-              if not (cur_scale is not None and scale is not None
-                      and scale != cur_scale)]
+                entries.append((rows, scale, load_host(path)))
+    usable, dropped = history_window(entries, cur_scale, cur_host)
     usable = usable[-limit:]
     per_row = {}
     for rows in usable:
@@ -408,7 +415,7 @@ def rss_baseline(committed_rows, committed_scale, history_dir, limit,
                 base[(r.get("topo"), r.get("shards"))] = float(kb)
     for key, samples in per_row.items():
         base[key] = median(samples)
-    return base, len(usable)
+    return base, len(usable), dropped
 
 
 def gate_rss(current_rows, baseline, tolerance):
@@ -440,11 +447,17 @@ def gate_rss(current_rows, baseline, tolerance):
     return failures, table
 
 
-def render_rss(table, tolerance, n_history):
+def other_host_note(n_other_host):
+    return (f" ({n_other_host} history runs from another host left out)"
+            if n_other_host else "")
+
+
+def render_rss(table, tolerance, n_history, n_other_host=0):
     if not table:
         return ""
     src = (f"rolling median of last {n_history} runs" if n_history
            else "committed baseline (same scale)")
+    src += other_host_note(n_other_host)
     lines = ["## Peak RSS per (topo, shards)", "",
              f"Gate: fail above +{tolerance:.0%} vs {src}; shrinkage "
              "never fails; rows without a scale-matched baseline pass "
@@ -478,16 +491,14 @@ def sparkline(values):
                    for v in values)
 
 
-def render_trajectory(entries, current, cur_scale, limit=8):
+def render_trajectory(entries, current, cur_scale, limit=8, cur_host=None):
     """Per-topo Mev/s trajectory over the committed history plus this
     run, as a markdown table with a sparkline column. `entries` is
     [(topos, scale, host)] oldest first (load_history_file's shape);
-    history recorded at a different BFC_BENCH_SCALE is skipped, same rule
-    as the rolling baseline. Returns "" when there is no usable history —
-    a one-point trajectory says nothing."""
-    usable = [topos for topos, scale, _ in entries
-              if not (cur_scale is not None and scale is not None
-                      and scale != cur_scale)]
+    history of another scale or host is skipped, same rule as the
+    rolling baseline (history_window). Returns "" when there is no
+    usable history — a one-point trajectory says nothing."""
+    usable, dropped = history_window(entries, cur_scale, cur_host)
     if not usable:
         return ""
     usable = usable[-(limit - 1):] + [current]
@@ -498,7 +509,8 @@ def render_trajectory(entries, current, cur_scale, limit=8):
                 topo_names.append(t)
     lines = ["## Throughput trajectory (Mev/s, oldest -> newest)", "",
              f"Last {len(usable) - 1} recorded runs plus this one "
-             f"(rightmost point), at scale {cur_scale}.", "",
+             f"(rightmost point), at scale {cur_scale}"
+             f"{other_host_note(dropped)}.", "",
              "| topo | Mev/s | spark |", "|---|---|---|"]
     for topo in topo_names:
         series = [topos[topo].get("shards1_events_per_sec", 0)
@@ -607,9 +619,7 @@ def render(rows, factor, tolerance, calibrate, cur_scale, base_scale,
             if calibrate else "raw")
     base = (f"rolling median of last {n_history} runs" if n_history
             else "committed baseline")
-    if n_other_host:
-        base += (f" ({n_other_host} history runs from another host left "
-                 "out)")
+    base += other_host_note(n_other_host)
     lines.append(
         f"Gate: {mode}, tolerance {tolerance:.0%}, baseline: {base}; "
         f"current scale {cur_scale}, committed scale {base_scale}.")
@@ -896,6 +906,14 @@ def self_test():
     assert "2.00 2.10" in traj, "a topo absent from old runs still plots"
     assert "99.00" not in traj, "off-scale history must not be plotted"
     assert render_trajectory([], cur, 0.05) == "", "no history -> no table"
+    xeon = {"cpu_model": "Xeon", "nproc": 4}
+    foreign = hist_entries + [
+        ({"t1_128": {"shards1_events_per_sec": 77_000_000}}, 0.05,
+         {"cpu_model": "EPYC", "nproc": 64})]
+    traj = render_trajectory(foreign, cur, 0.05, cur_host=xeon)
+    assert "77.00" not in traj and "4.00 4.40 4.20" in traj, \
+        "another host's run must not be plotted; unstamped runs still are"
+    assert "1 history runs from another host left out" in traj
     many = [({"t1_128": {"shards1_events_per_sec": 1_000_000 * (i + 1)}},
              None, {}) for i in range(12)]
     t2 = render_trajectory(many, cur, 0.05, limit=8)
@@ -906,7 +924,7 @@ def self_test():
     # shrinking RSS passes (shrinkage is the goal — one-sided gate).
     com_rows = [{"topo": "t3_4096", "shards": 1, "peak_rss_kb": 1_400_000},
                 {"topo": "t3_4096", "shards": 8, "peak_rss_kb": 1_430_000}]
-    base, n = rss_baseline(com_rows, 1.0, None, 3, cur_scale=1.0)
+    base, n, _ = rss_baseline(com_rows, 1.0, None, 3, cur_scale=1.0)
     assert n == 0 and base[("t3_4096", 1)] == 1_400_000
     grown = [{"topo": "t3_4096", "shards": 1, "peak_rss_kb": 1_700_000},
              {"topo": "t3_4096", "shards": 8, "peak_rss_kb": 1_430_000}]
@@ -944,7 +962,7 @@ def self_test():
         "rows without a baseline pass as new; zero-RSS rows drop out"
     # Committed rows only backstop a same-scale run; the rolling window
     # (scale-matched) takes over and its median absorbs one outlier.
-    base, n = rss_baseline(com_rows, 1.0, None, 3, cur_scale=0.05)
+    base, n, _ = rss_baseline(com_rows, 1.0, None, 3, cur_scale=0.05)
     assert n == 0 and base == {}, \
         "a full-scale committed RSS row must not gate a 0.05-scale run"
     with tempfile.TemporaryDirectory() as d:
@@ -957,7 +975,7 @@ def self_test():
         put_rss("run-00000002.json", 100_000)
         put_rss("run-00000003.json", 400_000, scale=1.0)  # off-scale
         put_rss("run-00000004.json", 110_000)
-        base, n = rss_baseline(com_rows, 1.0, d, 3, cur_scale=0.05)
+        base, n, _ = rss_baseline(com_rows, 1.0, d, 3, cur_scale=0.05)
         assert n == 3 and base == {("t3_4096", 1): 100_000}, \
             "RSS window: scale-matched cache runs only, per-row median"
         ff, _ = gate_rss([{"topo": "t3_4096", "shards": 1,
@@ -972,10 +990,42 @@ def self_test():
                 {"scale": 0.05, "rows": [{"topo": "t3_4096", "shards": 1,
                                           "peak_rss_kb": 104_000}]},
             ]}, f)
-        base, n = rss_baseline([], None, None, 3, cur_scale=0.05,
-                               history_file=hist)
+        base, n, _ = rss_baseline([], None, None, 3, cur_scale=0.05,
+                                  history_file=hist)
         assert n == 1 and base == {("t3_4096", 1): 104_000}, \
             "history-file rows must seed the RSS window"
+        # Another host's runs leave the RSS window and are counted, from
+        # the history file and the cache alike; the unstamped history run
+        # and the committed rows still count.
+        xeon = {"cpu_model": "Xeon", "nproc": 4}
+        epyc = {"cpu_model": "EPYC", "nproc": 64}
+        with open(hist, "w") as f:
+            json.dump({"runs": [
+                {"scale": 0.05, "rows": [{"topo": "t3_4096", "shards": 1,
+                                          "peak_rss_kb": 104_000}]},
+                {"scale": 0.05, "host": epyc,
+                 "rows": [{"topo": "t3_4096", "shards": 1,
+                           "peak_rss_kb": 900_000}]},
+            ]}, f)
+        cache = os.path.join(d, "hosts")
+        os.mkdir(cache)
+        for name, kb, host in (("run-00000001.json", 96_000, xeon),
+                               ("run-00000002.json", 700_000, epyc)):
+            with open(os.path.join(cache, name), "w") as f:
+                json.dump({"engine": {"scale": 0.05, "host": host, "rows": [
+                    {"topo": "t3_4096", "shards": 1, "peak_rss_kb": kb}]}},
+                    f)
+        small_rows = [{"topo": "t1_128", "shards": 1, "peak_rss_kb": 9_000}]
+        base, n, dropped = rss_baseline(small_rows, 0.05, cache, 5,
+                                        cur_scale=0.05, history_file=hist,
+                                        cur_host=xeon)
+        assert (n, dropped) == (2, 2), "other-host RSS runs leave the window"
+        assert base == {("t3_4096", 1): 100_000, ("t1_128", 1): 9_000}, \
+            "median of the unstamped 104k and the same-host 96k; the " \
+            "committed row still backstops"
+        assert "2 history runs from another host left out" in render_rss(
+            [("t3_4096@1sh", 100_000, 96_000, -0.04, "ok")], 0.15, n,
+            dropped)
 
     # Fault-plane gate: invariants always, recovery latency only on a
     # scale match, and no fault section means no fault gating.
@@ -1138,17 +1188,18 @@ def main():
                     cur_scale, base_scale, n_history,
                     host_line(cur_host, cur_rows), n_other_host)
     traj = render_trajectory(load_history_file(args.history_file),
-                             current, cur_scale)
+                             current, cur_scale, cur_host=cur_host)
     if traj:
         report += "\n" + traj
     com_rows, com_scale = load_rows(args.baseline)
-    rss_base, n_rss = rss_baseline(com_rows, com_scale, args.history,
-                                   args.history_limit, cur_scale,
-                                   history_file=args.history_file)
+    rss_base, n_rss, n_rss_other = rss_baseline(
+        com_rows, com_scale, args.history, args.history_limit, cur_scale,
+        history_file=args.history_file, cur_host=cur_host)
     rss_failures, rss_table = gate_rss(cur_rows, rss_base,
                                        args.rss_tolerance)
     failures += rss_failures
-    rss_report = render_rss(rss_table, args.rss_tolerance, n_rss)
+    rss_report = render_rss(rss_table, args.rss_tolerance, n_rss,
+                            n_rss_other)
     if rss_report:
         report += "\n" + rss_report
     fault_failures, fault_report = gate_fault(load_fault(args.current),

@@ -1,12 +1,9 @@
 // Machine-readable bench telemetry: BENCH_engine.json.
 //
-// fig15_scale (engine throughput) and micro_structures (data-structure
-// costs) each own one top-level section of the file; a "baseline" section
-// records the oldest measured engine numbers (the PR-2 heap engine) so
-// future PRs can diff events/sec against it. Writers preserve every
-// other object-valued top-level section whatever its name — and never
-// touch an existing baseline — so the file accretes instead of
-// ping-ponging between benches.
+// Each bench (fig15_scale, micro_structures, ext_fault, fig10_buffer_opt)
+// owns one top-level section of the file. Writers preserve every other
+// object-valued top-level section whatever its name, so the file accretes
+// instead of ping-ponging between benches.
 //
 // The file path is $BFC_BENCH_JSON, defaulting to BENCH_engine.json in
 // the working directory (CI and the repo keep it at the repo root).
@@ -138,24 +135,18 @@ inline std::vector<std::string> top_level_keys(const std::string& text) {
 }
 
 // Rewrites the bench JSON file: replaces (or appends) `section` with
-// `body` (a "{...}" object), preserves every other object-valued
-// top-level section whatever its name, and keeps an existing "baseline"
-// (installing `baseline_if_missing` only when there is none and it is
-// non-empty).
+// `body` (a "{...}" object) and preserves every other object-valued
+// top-level section whatever its name.
 inline void update_bench_json(const std::string& section,
-                              const std::string& body,
-                              const std::string& baseline_if_missing = "") {
+                              const std::string& body) {
   const std::string path = bench_json_path();
   const std::string old = slurp(path);
-  std::string baseline = extract_object(old, "baseline");
-  if (baseline.empty()) baseline = baseline_if_missing;
 
   std::ostringstream out;
   out << "{\n  \"schema\": 1";
-  if (!baseline.empty()) out << ",\n  \"baseline\": " << baseline;
   bool wrote_own = false;
   for (const std::string& name : top_level_keys(old)) {
-    if (name == "schema" || name == "baseline") continue;
+    if (name == "schema") continue;
     const std::string kept =
         name == section ? body : extract_object(old, name);
     if (kept.empty()) continue;

@@ -2,8 +2,8 @@
 // (2-tier T1, 3-tier 1024-host) x shard count and reports events/sec,
 // per-shard event counts (partition balance), plus a determinism check:
 // every shard count must report byte-identical flow stats at the same
-// seed. Emits BENCH_engine.json (see bench_json.hpp) so future PRs can
-// diff engine throughput against the recorded baseline; the section is
+// seed. Emits BENCH_engine.json (see bench_json.hpp): one row per
+// (topo, shards), which tools/perf_gate.py gates; the section is
 // stamped with the host (CPU model, core count) and every row with the
 // helper executors it ran with, since both move multi-shard throughput.
 #include <algorithm>
@@ -138,21 +138,6 @@ void sweep(const char* name, const TopoGraph& topo, Time stop,
               single_eps > 0 ? best_multi_eps / single_eps : 0);
 }
 
-double eps_of(const std::vector<ScaleRow>& rows, const char* topo,
-              int shards) {
-  for (const ScaleRow& r : rows) {
-    if (r.topo == topo && r.shards == shards) return r.events_per_sec;
-  }
-  return 0;
-}
-
-bool det_of(const std::vector<ScaleRow>& rows, const char* topo) {
-  for (const ScaleRow& r : rows) {
-    if (r.topo == topo && !r.det) return false;
-  }
-  return true;
-}
-
 std::string host_json() {
   return bench::host_stamp_json(ShardedSimulator::usable_cores());
 }
@@ -167,38 +152,10 @@ void write_json(const std::vector<ScaleRow>& rows) {
        << ", \"slots\": " << TimingWheel::kSlots
        << ", \"horizon_ns\": " << TimingWheel::kHorizonNs << "},\n"
        << "    \"host\": " << host_json() << ",\n";
-  body << "    \"topos\": {";
-  std::vector<std::string> topo_names;
-  for (const ScaleRow& r : rows) {
-    if (std::find(topo_names.begin(), topo_names.end(), r.topo) ==
-        topo_names.end()) {
-      topo_names.push_back(r.topo);
-    }
-  }
-  bool first_topo = true;
-  for (const std::string& topo : topo_names) {
-    body << (first_topo ? "" : ", ") << "\"" << topo
-         << "\": {\"shards1_events_per_sec\": "
-         << static_cast<long long>(eps_of(rows, topo.c_str(), 1));
-    // Multi-shard columns appear whenever the sweep ran them, so the
-    // perf gate can hold the channel-clock scaling path to the same
-    // tolerance band as single-shard throughput.
-    for (const int s : {8, 16}) {
-      const double eps = eps_of(rows, topo.c_str(), s);
-      if (eps > 0) {
-        body << ", \"shards" << s << "_events_per_sec\": "
-             << static_cast<long long>(eps);
-      }
-    }
-    body << ", \"deterministic\": "
-         << (det_of(rows, topo.c_str()) ? "true" : "false") << "}";
-    first_topo = false;
-  }
-  body << "},\n    \"rows\": [\n";
+  body << "    \"rows\": [\n";
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const ScaleRow& r = rows[i];
     body << "      {\"topo\": \"" << r.topo << "\", \"shards\": " << r.shards
-         << ", \"sync\": \"" << r.exp.sync << "\""
          << ", \"executors\": " << r.exp.executors
          << ", \"helpers\": " << r.exp.helpers
          << ", \"events\": " << r.exp.events_processed
@@ -227,20 +184,7 @@ void write_json(const std::vector<ScaleRow>& rows) {
          << "\n";
   }
   body << "    ]\n  }";
-
-  // First ever run on a tree with no recorded baseline: this run becomes
-  // the baseline future PRs diff against.
-  std::ostringstream base;
-  base.precision(6);
-  base << std::fixed;
-  base << "{\"source\": \"self\", \"scale\": " << bench_scale()
-       << ", \"event_bytes\": " << sizeof(Event)
-       << ", \"t1_128_events_per_sec\": "
-       << static_cast<long long>(eps_of(rows, "t1_128", 1))
-       << ", \"t3_1024_events_per_sec\": "
-       << static_cast<long long>(eps_of(rows, "t3_1024", 1)) << "}";
-
-  bench::update_bench_json("engine", body.str(), base.str());
+  bench::update_bench_json("engine", body.str());
 }
 
 }  // namespace

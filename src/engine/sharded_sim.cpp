@@ -277,6 +277,10 @@ ShardedSimulator::ShardedSimulator(const TopoGraph& topo, int n_shards,
   // event).
   const int cores = usable_cores();
   executors_ = std::clamp(cores, 1, S);
+  if (S > 1) {
+    idle_gen_ =
+        std::make_unique<IdleGen[]>(static_cast<std::size_t>(executors_));
+  }
   steal_threshold_ = static_cast<std::size_t>(
       env_long("BFC_STEAL_THRESHOLD", 256, 1, 1L << 30));
   steal_on_ = S > 1 && env_switch("BFC_STEAL", cores > 1);
@@ -398,7 +402,7 @@ bool ShardedSimulator::publish_clock(int s, Time eit) {
   if (eit < b) b = eit;
   // Progress here means either the published clock rises or parked
   // overflow events move into a ring. The latter matters for the
-  // one-executor stall check in run_executor: with a tiny ring, whole
+  // stall check in run_executor: with a tiny ring, whole
   // passes can advance purely by cycling events overflow -> ring ->
   // neighbor wheel while every clock stays capped — that is real
   // progress, not a protocol deadlock.
@@ -513,6 +517,36 @@ ShardedSimulator::Step ShardedSimulator::channel_step(int s, Time stop,
   return Step::kBlocked;
 }
 
+// Stall check. An executor bumps the progress generation after rounds
+// that ran an event, moved a ring or raised a clock, at the latest on its
+// first round without progress. Each round starts under the generation
+// the executor last read (before the round's first state load); a round
+// with no progress, no unpublished progress before it and the generation
+// unchanged at its end registers in the executor's slot. When every live
+// executor is registered under `gen` and the generation is still `gen`,
+// the engine is at a true fixed point. Let W run from the start of the
+// earliest registered round to now; the generation did not move in W. An
+// effect before W was bumped before W (its executor bumped before the
+// round it registered), so every registered round read it: the acquire
+// load of `gen` synchronizes with every earlier bump. Suppose some effect
+// happened in W, and take the first one, by executor X. X's round making it started after X's
+// registered round, and up to that effect it read exactly the state the
+// registered round read, since nothing changed in between. Step is a
+// function of that state (ring contents, clocks, wheels; a stealable
+// batch exists only inside another round that ran), so that round could
+// not have made progress either: a contradiction. Hence no shard can ever
+// move again, yet some have events pending: the lookahead matrix admitted
+// an interaction it shouldn't have.
+bool ShardedSimulator::all_idle_at(std::uint64_t gen) const {
+  for (int j = 0; j < executors_; ++j) {
+    const std::uint64_t g =
+        idle_gen_[static_cast<std::size_t>(j)].gen.load(
+            std::memory_order_acquire);
+    if (g != gen && g != IdleGen::kExited) return false;
+  }
+  return progress_gen_.load(std::memory_order_acquire) == gen;
+}
+
 void ShardedSimulator::run_executor(int k, Time stop) {
   // Same results at any T: the clocks don't care who advances them.
   const int S = n_shards();
@@ -521,6 +555,11 @@ void ShardedSimulator::run_executor(int k, Time stop) {
   int remaining = (S - k + T - 1) / T;
   int idle = 0;
   bool hungry = false;
+  IdleGen& mine = idle_gen_[static_cast<std::size_t>(k)];
+  // The generation this round starts under: read before the round's first
+  // state load, so the round saw every effect published under it.
+  std::uint64_t gen = progress_gen_.load(std::memory_order_acquire);
+  bool unpublished = false;  // progress made since this executor's bump
   while (remaining > 0) {
     bool ran = false;
     bool progress = false;
@@ -535,6 +574,7 @@ void ShardedSimulator::run_executor(int k, Time stop) {
       ran = ran || r == Step::kRan;
       progress = progress || r != Step::kBlocked || moved;
     }
+    unpublished = unpublished || progress;
     if (remaining == 0) break;
     if (ran) {
       idle = 0;
@@ -544,16 +584,32 @@ void ShardedSimulator::run_executor(int k, Time stop) {
       }
       continue;
     }
-    if (T == 1 && !progress) {
-      // Every shard is on this thread and a full round moved nothing: the
-      // clocks reached a fixed point with events pending, so the lookahead
-      // matrix admitted an interaction it shouldn't have. (With T > 1
-      // another executor may still be about to move a clock.)
-      std::fprintf(stderr,
-                   "ShardedSimulator: channel clocks stalled with %d shards "
-                   "unfinished — lookahead matrix is unsound\n",
-                   remaining);
-      std::abort();
+    if (!progress && unpublished) {
+      // Rounds that ran pay no atomic: the first idle round publishes
+      // (release) the whole streak; the result starts the next round.
+      gen = progress_gen_.fetch_add(1, std::memory_order_acq_rel) + 1;
+      unpublished = false;
+    } else if (!progress) {
+      const std::uint64_t now = progress_gen_.load(std::memory_order_acquire);
+      if (now != gen) {
+        gen = now;
+      } else {
+        if (mine.gen.load(std::memory_order_relaxed) != gen) {
+          mine.gen.store(gen, std::memory_order_release);
+        }
+        if (all_idle_at(gen)) {
+          int unfinished = 0;
+          for (int s = 0; s < S; ++s) {
+            unfinished += clock_[static_cast<std::size_t>(s)].t.load(
+                              std::memory_order_relaxed) != kTimeInf;
+          }
+          std::fprintf(stderr,
+                       "ShardedSimulator: channel clocks stalled with %d "
+                       "shards unfinished — lookahead matrix is unsound\n",
+                       unfinished);
+          std::abort();
+        }
+      }
     }
     // No shard of ours ran: advertise hunger so hot shards split their
     // windows, then back off (a shared core needs the quantum more than
@@ -565,6 +621,10 @@ void ShardedSimulator::run_executor(int k, Time stop) {
     if (++idle > 64) std::this_thread::yield();
   }
   if (hungry) hungry_.fetch_sub(1, std::memory_order_relaxed);
+  // Publish the finishing round, then leave: a stall check that sees
+  // kExited also sees the generation move past any round it skipped.
+  progress_gen_.fetch_add(1, std::memory_order_release);
+  mine.gen.store(IdleGen::kExited, std::memory_order_release);
   executors_live_.fetch_sub(1, std::memory_order_release);
 }
 
@@ -862,6 +922,12 @@ void ShardedSimulator::run_until(Time stop) {
   std::vector<std::thread> threads;
   threads.reserve(static_cast<std::size_t>(executors_ - 1 + helpers_));
   executors_live_.store(executors_, std::memory_order_relaxed);
+  // Reset before any executor starts, so a slot left at kExited by the
+  // previous run_until cannot make a live executor look finished.
+  for (int k = 0; k < executors_; ++k) {
+    idle_gen_[static_cast<std::size_t>(k)].gen.store(
+        IdleGen::kNotIdle, std::memory_order_relaxed);
+  }
   for (int k = 1; k < executors_; ++k) {
     threads.emplace_back([this, k, stop] { run_executor(k, stop); });
   }

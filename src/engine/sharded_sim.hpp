@@ -335,12 +335,23 @@ class ShardedSimulator {
   struct alignas(64) PubClock {
     std::atomic<Time> t{0};
   };
+  // Per-executor stall-check slot (see run_executor): the progress
+  // generation under which the executor last finished a round with no
+  // progress, kNotIdle, or kExited once it returned.
+  struct alignas(64) IdleGen {
+    static constexpr std::uint64_t kNotIdle = ~std::uint64_t{0};
+    static constexpr std::uint64_t kExited = kNotIdle - 1;
+    std::atomic<std::uint64_t> gen{kNotIdle};
+  };
   enum class Step { kFinished, kRan, kBlocked };
 
   // --- channel clocks ---
   // Executor k: round-robins channel_step over shards k, k+T, k+2T, ...
   // (T = executors_) until all of them finish.
   void run_executor(int k, Time stop);
+  // Stall check: every executor of this run is idle under `gen` (or has
+  // returned) and the progress generation is still `gen`.
+  bool all_idle_at(std::uint64_t gen) const;
   // Helper executor `executor` (>= S): claims offered batches until every
   // executor of this run_until has returned.
   void run_helper(int executor);
@@ -406,6 +417,11 @@ class ShardedSimulator {
   std::vector<StealBatch*> steal_board_;
   std::atomic<int> hungry_{0};
   std::atomic<int> executors_live_{0};  // executors not yet returned
+  // Bumped after executor rounds that ran work, moved a ring or raised a
+  // clock (see run_executor's stall check). Own cache line: executors
+  // write it on their first idle round after progress.
+  alignas(64) std::atomic<std::uint64_t> progress_gen_{0};
+  std::unique_ptr<IdleGen[]> idle_gen_;  // one per executor
 
   std::unique_ptr<obs::Telemetry> telemetry_;
 };

@@ -379,7 +379,6 @@ ExperimentResult ExperimentRun::collect() {
     r.shard_events.push_back(sim.shard(s).events_run());
   }
   r.wall_sec = wall_sec_;
-  r.sync = sim.sync_name();
   r.executors = sim.executors();
   r.helpers = sim.helpers();
   r.events_stolen = sim.events_stolen();

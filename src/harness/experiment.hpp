@@ -108,12 +108,9 @@ struct ExperimentResult {
   std::uint64_t events_processed = 0;
   std::vector<std::uint64_t> shard_events;  // events run per shard
   double wall_sec = 0;
-  // Sync-protocol telemetry. `sync` names the protocol ("channel", the
-  // only one; fig15's BENCH rows carry it); events_stolen /
-  // inbox_overflows describe scheduling, not simulation, so determinism
-  // checks must NOT compare them (they legitimately vary run to run under
-  // work stealing).
-  std::string sync;
+  // Sync-protocol telemetry. events_stolen / inbox_overflows describe
+  // scheduling, not simulation, so determinism checks must NOT compare
+  // them (they legitimately vary run to run under work stealing).
   int executors = 1;  // threads driving the shards (min(S, usable cores))
   int helpers = 0;    // helper executors beside them
   std::uint64_t events_stolen = 0;

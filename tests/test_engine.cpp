@@ -368,7 +368,6 @@ void test_steal_stranding() {
        attempt == 0 || (attempt < 8 && !(by_worker && by_helper));
        ++attempt) {
     const ExperimentResult got = run_small(shards);
-    CHECK(got.sync == "channel");
     CHECK(got.executors == executors);
     CHECK(got.helpers == helpers);
     check_stats_equal(oracle, got);
